@@ -50,7 +50,6 @@ from .primitivity import (
 )
 from .shell_bridge import (
     Bridge,
-    DepthLimitExceededError,
     NotForestError,
     PrincipalVertex,
     Shell,
@@ -58,7 +57,6 @@ from .shell_bridge import (
     bridge_report,
     find_bridge,
     principal_vertex,
-    shell_primitive_indices,
     shell_words,
 )
 from .verify import CheckResult, run_all
@@ -81,7 +79,6 @@ __all__ = [
     "Classification",
     "ConnectedCaseStub",
     "CyclicWord",
-    "DepthLimitExceededError",
     "GroupPresentation",
     "LensInvariants",
     "LensSpace",
@@ -127,7 +124,6 @@ __all__ = [
     "principal_vertex",
     "reduce_word",
     "run_all",
-    "shell_primitive_indices",
     "shell_words",
     "stabilizer_presentation",
 ]

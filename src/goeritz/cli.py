@@ -33,16 +33,8 @@ from .presentations import (
     heegaard_space_report,
     structure_text,
 )
-from .shell_bridge import (
-    DepthLimitExceededError,
-    NotForestError,
-    bridge_report,
-    find_bridge,
-    shell_words,
-)
+from .shell_bridge import NotForestError, bridge_report, find_bridge, shell_words
 from .verify import DEFAULT_SEED, run_all
-
-MAX_SEARCH_DEPTH = 1024
 
 
 def _space(p: int, q: int) -> LensSpace:
@@ -137,11 +129,9 @@ def cmd_shell(args: argparse.Namespace) -> int:
 
 def cmd_bridge(args: argparse.Namespace) -> int:
     space = _space(args.p, args.qbar)
-    bridge = find_bridge(space, args.qbar, max_depth=args.max_depth)
+    bridge = find_bridge(space, args.qbar)
     if args.format == "json":
-        _emit_json(
-            {"p": space.p, "q": space.q, "tie": bridge.tie, **bridge_report(bridge)}
-        )
+        _emit_json({"p": space.p, "q": space.q, **bridge_report(bridge)})
         return 0
     report = bridge_report(bridge)
     lines = [
@@ -151,10 +141,8 @@ def cmd_bridge(args: argparse.Namespace) -> int:
         f"D = {report['dWord']}",
         f"simplices: {bridge.simplex_count}",
         f"homology: E -> {report['homology']['E']}, D -> {report['homology']['D']}",
+        "corridor:",
     ]
-    if bridge.tie:
-        lines.append("(several minimal bridges; lexicographically least chosen)")
-    lines.append("corridor:")
     lines.extend("  " + " ".join(tri) for tri in report["corridor"])
     _say(args, "\n".join(lines))
     return 0
@@ -197,9 +185,7 @@ def _build_complex(args: argparse.Namespace) -> SimplicialComplex2:
         )
     if args.kind == "bridge":
         space = _space(args.p, args.qbar)
-        return build_bridge_corridor(
-            find_bridge(space, args.qbar, max_depth=args.max_depth)
-        )
+        return build_bridge_corridor(find_bridge(space, args.qbar))
     space = _space(args.p, args.qbar)
     return build_tree_of_trees_ball(space, args.radius, args.branching)
 
@@ -235,7 +221,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         classification_p=max(200, args.max_p),
         seed=args.seed,
         workers=args.jobs,
-        max_depth=args.max_depth,
         inject_failure=args.inject_failure,
     )
     passed = all(r.passed for r in results)
@@ -279,12 +264,6 @@ def _parser() -> argparse.ArgumentParser:
         choices=("text", "json", "dot"),
         default="text",
         help="output format; dot applies to complex only",
-    )
-    parser.add_argument(
-        "--max-depth",
-        type=int,
-        default=64,
-        help=f"bridge search depth bound (max {MAX_SEARCH_DEPTH})",
     )
     parser.add_argument(
         "--quiet", action="store_true", help="suppress informational text output"
@@ -356,12 +335,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.format == "dot" and args.command != "complex":
         sys.stderr.write("error: dot format applies to the complex command only\n")
         return 2
-    if not 0 < args.max_depth <= MAX_SEARCH_DEPTH:
-        sys.stderr.write(f"error: --max-depth must be in 1..{MAX_SEARCH_DEPTH}\n")
-        return 2
     try:
         return args.func(args)
-    except (NotForestError, DepthLimitExceededError) as exc:
+    except NotForestError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except ValueError as exc:

@@ -27,6 +27,10 @@ from .words import Word, parse_word
 MAX_PRINCIPAL_DEPTH = 12
 MAX_BALL_RADIUS = 4
 MAX_BALL_BRANCHING = 16
+# The corridor runs the Whitehead oracle on every one of its words.  Every
+# forest case with p <= 200 fits; the largest, L(200, 99), holds 247,701
+# letters and exports in about 11 s.
+MAX_CORRIDOR_LETTERS = 250_000
 
 
 @dataclass(frozen=True)
@@ -154,7 +158,9 @@ def build_bridge_corridor(bridge: Bridge) -> SimplicialComplex2:
     The symbolic corridor labels E_m and E_{m+1} become E_<m> and
     E_<m+1>; the far vertex is D.  Primitivity flags come from the
     primitivity oracle, so the two ends are flagged and no interior
-    vertex is.
+    vertex is.  A corridor whose words hold more than
+    MAX_CORRIDOR_LETTERS letters in all raises ValueError before the
+    oracle runs.
     """
     m, qbar = bridge.m, bridge.qbar
     rename = {
@@ -162,16 +168,23 @@ def build_bridge_corridor(bridge: Bridge) -> SimplicialComplex2:
         "E_{m+1}": f"E_{m + 1}",
         "E_" + bridge.w: "D",
     }
-    vertices = [
-        Vertex("E", Word((("x", 1),)), True),
-        _oracle_vertex(f"E_{m}", qbar, m - 1, qbar + bridge.r),
-        _oracle_vertex(f"E_{m + 1}", qbar, m, bridge.r),
-        _oracle_vertex("D", qbar, bridge.m_exp, bridge.n_exp),
+    exponents = [
+        (f"E_{m}", m - 1, qbar + bridge.r),
+        (f"E_{m + 1}", m, bridge.r),
+        ("D", bridge.m_exp, bridge.n_exp),
     ]
     for i in range(len(bridge.w)):
         prefix = bridge.w[:i]
         v = principal_vertex(bridge.lens.p, qbar, m, bridge.r, prefix)
-        vertices.append(_oracle_vertex("E_" + prefix, qbar, v.m_exp, v.n_exp))
+        exponents.append(("E_" + prefix, v.m_exp, v.n_exp))
+    letters = sum(m_exp * (qbar + 1) + 1 + abs(n_exp) for _, m_exp, n_exp in exponents)
+    if letters > MAX_CORRIDOR_LETTERS:
+        raise ValueError(
+            f"{bridge.lens!r}: bridge corridor words hold {letters} letters,"
+            f" more than {MAX_CORRIDOR_LETTERS}"
+        )
+    vertices = [Vertex("E", Word((("x", 1),)), True)]
+    vertices.extend(_oracle_vertex(label, qbar, *pair) for label, *pair in exponents)
     triangles = [
         tuple(rename.get(label, label) for label in triangle)
         for triangle in bridge.corridor

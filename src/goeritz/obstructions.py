@@ -27,7 +27,6 @@ class Rule(str, Enum):
     KEY1 = "KEY1"
     KEY2 = "KEY2"
     KEY3 = "KEY3"
-    KEYSUM = "KEYSUM"  # reserved id, no matcher bound to it
     BLOCKDIFF = "BLOCKDIFF"
 
 

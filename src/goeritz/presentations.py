@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import gcd
 from typing import Union
 
 from .lens import Classification, LensSpace, Sphere, invariants, pi1_diff
@@ -395,16 +396,10 @@ def _smith_invariant_factors(rows: list[list[int]], width: int) -> list[int]:
         for i in range(len(factors) - 1):
             a, b = factors[i], factors[i + 1]
             if b % a:
-                g = _gcd(a, b)
+                g = gcd(a, b)
                 factors[i], factors[i + 1] = g, a * b // g
                 changed = True
     return factors
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def abelianization(presentation: GroupPresentation) -> AbelianGroup:

@@ -94,7 +94,14 @@ class PrimitivityVerdict:
     reduction_trace: tuple[tuple[str, int], ...]
 
 
-def _analyze(w: CyclicWord) -> PrimitivityVerdict:
+def is_primitive(w: CyclicWord | Word | str) -> PrimitivityVerdict:
+    """Decide whether the class of w is primitive and whether it is a
+    primitive power u^k (u primitive, k >= 1).
+
+    The root u is the subword on the minimal rotational period; w is a
+    primitive power iff that root is primitive.
+    """
+    w = CyclicWord.of(w)
     final, trace = _descend(w.letters)
     primitive = len(final) == 1
     if w.is_identity():
@@ -109,18 +116,8 @@ def _analyze(w: CyclicWord) -> PrimitivityVerdict:
     return PrimitivityVerdict(primitive, root_primitive, power_root, trace)
 
 
-def is_primitive(w: CyclicWord | Word | str) -> PrimitivityVerdict:
-    """Decide whether the conjugacy class of w is a primitive element."""
-    return _analyze(CyclicWord.of(w))
-
-
-def is_primitive_power(w: CyclicWord | Word | str) -> PrimitivityVerdict:
-    """Decide whether w = u^k with u primitive and k >= 1.
-
-    The root is the subword on the minimal rotational period; w is a
-    primitive power iff that root is primitive.
-    """
-    return _analyze(CyclicWord.of(w))
+# One verdict answers both questions; both names stay public.
+is_primitive_power = is_primitive
 
 
 def _role_x_shape(syllables: tuple[tuple[str, int], ...]) -> bool:

@@ -6,6 +6,13 @@ in Z/p.  The principal complex is a binary tree of vertices obtained by
 a mediant rule on (m-exponent, n-exponent) pairs, and a bridge is the
 shortest corridor of triangles from the base pair to a vertex whose
 n-exponent is qbar - 1 or qbar + 1.
+
+Shifting every vertex (m, n) to (m + 1, n - qbar) turns the mediant rule
+into vector addition, so the principal tree is the Stern-Brocot tree on
+coefficients (i, j) of i*(m, r) + j*(m + 1, r - qbar).  A vertex has
+n-exponent qbar -+ 1 exactly when i*r - j*(qbar - r) = +-1, and the
+shallowest such vertex is one of the two Farey parents of r/(qbar - r)
+(Graham, Knuth and Patashnik, Concrete Mathematics, section 4.5).
 """
 
 from __future__ import annotations
@@ -16,16 +23,13 @@ from math import gcd
 from .lens import Classification, LensSpace, division_window, invariants, modular_partner
 from .words import Word
 
-MAX_BRIDGE_DEPTH = 64
-_NODE_BUDGET = 1 << 20
+# Longest tree word find_bridge builds; the corridor labels grow with its
+# square.  Every forest case with p <= 2000 fits (deepest: 497 letters).
+MAX_BRIDGE_LENGTH = 512
 
 
 class NotForestError(Exception):
     """The primitive disk complex is contractible, so no bridge exists."""
-
-
-class DepthLimitExceededError(RuntimeError):
-    """Bridge search exhausted its depth or node budget; input or code bug."""
 
 
 @dataclass(frozen=True)
@@ -63,11 +67,6 @@ def shell_words(p: int, qbar: int) -> Shell:
     partner = modular_partner(p, qbar)
     indices = frozenset({1, partner, p - partner, p - 1})
     return Shell(p, qbar, tuple(words), indices)
-
-
-def shell_primitive_indices(shell: Shell) -> frozenset[int]:
-    """Indices k for which E_k bounds a primitive disk: {1, q', p-q', p-1}."""
-    return shell.primitive_indices
 
 
 def _mediant(a: tuple[int, int], b: tuple[int, int], qbar: int) -> tuple[int, int]:
@@ -121,7 +120,6 @@ class Bridge:
     d_word: Word
     corridor: tuple[tuple[str, str, str], ...]
     simplex_count: int
-    tie: bool = False
 
 
 def _corridor(w: str) -> tuple[tuple[str, str, str], ...]:
@@ -136,11 +134,31 @@ def _corridor(w: str) -> tuple[tuple[str, str, str], ...]:
     return tuple(triangles)
 
 
-def find_bridge(space: LensSpace, qbar: int, max_depth: int = MAX_BRIDGE_DEPTH) -> Bridge:
+def _tree_runs(i: int, j: int) -> list[tuple[str, int]]:
+    """L/R runs of the walk from the root (1, 1) to the coprime
+    coefficients (i, j): the subtractive Euclidean algorithm, L while
+    j > i, one division per run."""
+    runs = []
+    while i != j:
+        if j > i:
+            k = (j - 1) // i
+            runs.append(("L", k))
+            j -= k * i
+        else:
+            k = (i - 1) // j
+            runs.append(("R", k))
+            i -= k * j
+    return runs
+
+
+def find_bridge(space: LensSpace, qbar: int) -> Bridge:
     """Minimal-depth mediant-tree vertex with n-exponent qbar -+ 1.
 
-    Breadth-first, L-children first, so the reported w is the
-    lexicographically least among minimal ones (L < R).
+    With s = qbar - r, the candidates are the two solutions of
+    i*r - j*s = +-1 with 1 <= i < s; they lie at different depths and
+    every other solution lies below both, so the shallower one is the
+    unique minimal bridge.  A bridge longer than MAX_BRIDGE_LENGTH
+    raises ValueError before its word is built.
     """
     inv = invariants(space)
     if inv.classification is not Classification.Forest:
@@ -151,47 +169,32 @@ def find_bridge(space: LensSpace, qbar: int, max_depth: int = MAX_BRIDGE_DEPTH) 
     if window is None:
         raise NotForestError(f"{space!r}: division window for qbar={qbar} is empty")
     m, r = window
-    targets = (qbar - 1, qbar + 1)
-
-    frontier = [("", _base_pair(qbar, m, r))]
-    visited = 0
-    for depth in range(max_depth + 1):
-        hits = []
-        next_frontier = []
-        for w, pair in frontier:
-            visited += 1
-            if visited > _NODE_BUDGET:
-                raise DepthLimitExceededError(
-                    f"bridge search for {space!r} qbar={qbar} exceeded node budget"
-                )
-            m_exp, n_exp = _mediant(pair[0], pair[1], qbar)
-            if n_exp in targets:
-                hits.append((w, m_exp, n_exp))
-                continue
-            mid = (m_exp, n_exp)
-            for letter, child in (("L", (mid, pair[1])), ("R", (pair[0], mid))):
-                if child[0][1] <= 0 and child[1][1] <= 0:
-                    continue
-                next_frontier.append((w + letter, child))
-        if hits:
-            w, m_exp, n_exp = hits[0]
-            d_word = PrincipalVertex(qbar, w, m_exp, n_exp).word()
-            return Bridge(
-                lens=space,
-                qbar=qbar,
-                m=m,
-                r=r,
-                w=w,
-                m_exp=m_exp,
-                n_exp=n_exp,
-                d_word=d_word,
-                corridor=_corridor(w),
-                simplex_count=len(w) + 2,
-                tie=len(hits) > 1,
-            )
-        frontier = next_frontier
-    raise DepthLimitExceededError(
-        f"no bridge for {space!r} qbar={qbar} within depth {max_depth}"
+    s = qbar - r
+    i = pow(r, -1, s)  # i*r = 1 (mod s), so (s - i)*r = -1 (mod s)
+    runs = min(
+        _tree_runs(i, (i * r - 1) // s),
+        _tree_runs(s - i, ((s - i) * r + 1) // s),
+        key=lambda runs: sum(k for _, k in runs),
+    )
+    depth = sum(k for _, k in runs)
+    if depth > MAX_BRIDGE_LENGTH:
+        raise ValueError(
+            f"{space!r}: bridge at qbar = {qbar} has {depth} tree letters,"
+            f" more than {MAX_BRIDGE_LENGTH}"
+        )
+    w = "".join(letter * k for letter, k in runs)
+    vertex = principal_vertex(space.p, qbar, m, r, w)
+    return Bridge(
+        lens=space,
+        qbar=qbar,
+        m=m,
+        r=r,
+        w=w,
+        m_exp=vertex.m_exp,
+        n_exp=vertex.n_exp,
+        d_word=vertex.word(),
+        corridor=_corridor(w),
+        simplex_count=len(w) + 2,
     )
 
 

@@ -284,10 +284,9 @@ def check_oz_necessity(max_len: int = 16) -> CheckResult:
     )
 
 
-def check_bridges(max_p: int = 60, max_depth: int = 64) -> CheckResult:
-    """Bridges exist, are minimal corridors, and join distinct classes."""
-    start = time.perf_counter()
-    checked = 0
+def forest_windows(max_p: int):
+    """Every forest space with p <= max_p, with each qbar in {q, q'}
+    whose division window is non-empty."""
     for p in range(2, max_p + 1):
         for q in range(1, p // 2 + 1):
             if gcd(p, q) != 1:
@@ -297,19 +296,25 @@ def check_bridges(max_p: int = 60, max_depth: int = 64) -> CheckResult:
             if inv.classification is not Classification.Forest:
                 continue
             for qbar in sorted({space.q, inv.q_prime}):
-                window = division_window(p, qbar)
-                if window is None:
-                    continue
-                checked += 1
-                bad = _examine_bridge(space, qbar, window, max_depth)
-                if bad is not None:
-                    return CheckResult(
-                        name="bridge-validity",
-                        passed=False,
-                        checked=checked,
-                        elapsed=time.perf_counter() - start,
-                        counterexample=bad,
-                    )
+                if division_window(p, qbar) is not None:
+                    yield space, qbar
+
+
+def check_bridges(max_p: int = 60) -> CheckResult:
+    """Bridges exist, are minimal corridors, and join distinct classes."""
+    start = time.perf_counter()
+    checked = 0
+    for space, qbar in forest_windows(max_p):
+        checked += 1
+        bad = _examine_bridge(space, qbar)
+        if bad is not None:
+            return CheckResult(
+                name="bridge-validity",
+                passed=False,
+                checked=checked,
+                elapsed=time.perf_counter() - start,
+                counterexample=bad,
+            )
     return CheckResult(
         name="bridge-validity",
         passed=True,
@@ -319,7 +324,7 @@ def check_bridges(max_p: int = 60, max_depth: int = 64) -> CheckResult:
     )
 
 
-def _examine_bridge(space, qbar, window, max_depth):
+def _examine_bridge(space, qbar):
     from .shell_bridge import PrincipalVertex, bridge_end_homology, principal_vertex
 
     def report(reason: str, bridge=None) -> dict:
@@ -328,9 +333,9 @@ def _examine_bridge(space, qbar, window, max_depth):
             out["w"] = bridge.w
         return out
 
-    m, r = window
+    m, r = division_window(space.p, qbar)
     try:
-        bridge = find_bridge(space, qbar, max_depth=max_depth)
+        bridge = find_bridge(space, qbar)
     except Exception as exc:
         return report(f"search failed: {exc}")
     if bridge.n_exp not in (qbar - 1, qbar + 1):
@@ -406,7 +411,6 @@ def run_all(
     classification_p: int = 200,
     seed: int = DEFAULT_SEED,
     workers: int = 1,
-    max_depth: int = 64,
     inject_failure: bool = False,
 ) -> list[CheckResult]:
     """Run every suite; order is fixed so reports are comparable."""
@@ -420,7 +424,7 @@ def run_all(
             workers=workers,
         ),
         check_oz_necessity(max_len=oz_len),
-        check_bridges(max_p=max_p, max_depth=max_depth),
+        check_bridges(max_p=max_p),
         check_classification(max_p=classification_p),
     ]
     if inject_failure:

@@ -99,10 +99,7 @@ class Word:
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return self.inverse() ** (-n)
-        out = Word.identity()
-        for _ in range(n):
-            out = out * self
-        return out
+        return Word(self.syllables * n)
 
     def inverse(self) -> "Word":
         return Word(tuple((g, -e) for g, e in reversed(self.syllables)))

@@ -23,6 +23,7 @@ from goeritz.verify import (
     check_obstruction_soundness,
     check_oz_necessity,
     check_shell_primitivity,
+    forest_windows,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -77,10 +78,13 @@ def test_criterion_4_oz_necessity():
 
 
 def test_criterion_5_bridge_validity_sweep():
-    result = check_bridges(max_p=60, max_depth=64)
-    _report(5, result.passed, f"{result.checked} bridges")
+    result = check_bridges(max_p=60)
+    depth = max(len(find_bridge(space, qbar).w) for space, qbar in forest_windows(60))
+    ok = result.passed and depth <= 64
+    _report(5, ok, f"{result.checked} bridges, deepest w has {depth} letters")
     assert result.counterexample is None
     assert result.passed
+    assert depth <= 64
 
 
 def test_criterion_6_presentation_goldens():

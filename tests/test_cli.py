@@ -35,7 +35,6 @@ class TestBridgeCommand:
         assert doc["dWord"] == "xy^5xy^5xy^5xy^5xy^4"
         assert doc["simplexCount"] == 2
         assert doc["homology"] == {"E": 1, "D": 5}
-        assert doc["tie"] is False
 
     def test_l23_7_needs_one_letter(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "bridge", "23", "7")
@@ -50,11 +49,12 @@ class TestBridgeCommand:
         assert out == ""
         assert "error" in err
 
-    def test_depth_bound_respected(self, capsys):
-        code, _, err = run(capsys, "--max-depth", "1", "bridge", "23", "7")
-        assert code == 0
-        code, _, err = run(capsys, "--max-depth", "0", "bridge", "23", "7")
+    def test_over_length_bound_exits_2(self, capsys):
+        # w would be R^513, one letter past the bound.
+        code, out, err = run(capsys, "bridge", "2064", "1031")
         assert code == 2
+        assert out == ""
+        assert "more than 512" in err
 
     def test_partner_window_accepted(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "bridge", "23", "10")

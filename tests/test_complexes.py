@@ -6,7 +6,9 @@ import json
 
 import pytest
 
+from goeritz import complexes
 from goeritz.complexes import (
+    MAX_CORRIDOR_LETTERS,
     SimplicialComplex2,
     Vertex,
     build_bridge_corridor,
@@ -121,6 +123,20 @@ class TestBridgeCorridor:
         assert len(c.triangles) == 3
         assert c.vertex("E_").primitive is False
         assert c.vertex("D").primitive is True
+
+    def test_letter_bound(self, monkeypatch):
+        # L(200, 99) holds the most corridor letters of any p <= 200;
+        # L(204, 101), the next of its family, is past the bound.
+        with pytest.raises(ValueError, match=f"more than {MAX_CORRIDOR_LETTERS}"):
+            build_bridge_corridor(find_bridge(LensSpace(204, 101), 101))
+        words = []
+        real = complexes.is_primitive
+        monkeypatch.setattr(
+            complexes, "is_primitive", lambda w: words.append(w) or real("x")
+        )
+        c = build_bridge_corridor(find_bridge(LensSpace(200, 99), 99))
+        assert sum(w.length for w in words) == 247_701 <= MAX_CORRIDOR_LETTERS
+        assert len(c.triangles) == c.meta["simplexCount"]
 
     def test_interiors_never_flagged(self):
         for p, q, qbar in [(12, 5, 5), (17, 5, 5), (23, 7, 7), (29, 12, 12)]:

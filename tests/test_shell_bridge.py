@@ -1,4 +1,4 @@
-"""Shell words, mediant tree walks, and bridge search."""
+"""Shell words, mediant tree walks, and bridges."""
 
 from __future__ import annotations
 
@@ -11,17 +11,17 @@ from hypothesis import strategies as st
 from goeritz.lens import LensSpace, division_window, invariants, modular_partner
 from goeritz.primitivity import is_primitive
 from goeritz.shell_bridge import (
+    MAX_BRIDGE_LENGTH,
     Bridge,
-    DepthLimitExceededError,
     NotForestError,
     PrincipalVertex,
     bridge_end_homology,
     bridge_report,
     find_bridge,
     principal_vertex,
-    shell_primitive_indices,
     shell_words,
 )
+from goeritz.verify import forest_windows
 from goeritz.words import CyclicWord, Word, parse_word
 
 
@@ -61,10 +61,10 @@ class TestShellWords:
             shell_words(7, 7)
 
     def test_primitive_indices_frozen(self):
-        assert shell_primitive_indices(shell_words(7, 3)) == {1, 2, 5, 6}
-        assert shell_primitive_indices(shell_words(12, 5)) == {1, 5, 7, 11}
-        assert shell_primitive_indices(shell_words(5, 2)) == {1, 2, 3, 4}
-        assert shell_primitive_indices(shell_words(2, 1)) == {1}
+        assert shell_words(7, 3).primitive_indices == {1, 2, 5, 6}
+        assert shell_words(12, 5).primitive_indices == {1, 5, 7, 11}
+        assert shell_words(5, 2).primitive_indices == {1, 2, 3, 4}
+        assert shell_words(2, 1).primitive_indices == {1}
 
     @pytest.mark.parametrize("p,qbar", [(9, 2), (11, 7), (13, 5), (16, 9)])
     def test_structure(self, p, qbar):
@@ -84,7 +84,7 @@ class TestShellWords:
         for p, qbar in coprime_pairs(30):
             t = modular_partner(p, qbar)
             expected = {1, t, p - t, p - 1}
-            assert shell_primitive_indices(shell_words(p, qbar)) == expected
+            assert shell_words(p, qbar).primitive_indices == expected
 
 
 class TestPrincipalVertex:
@@ -187,14 +187,17 @@ class TestFindBridge:
         with pytest.raises(ValueError):
             find_bridge(LensSpace(12, 5), 3)
 
-    def test_depth_limit(self):
-        with pytest.raises(DepthLimitExceededError):
-            find_bridge(LensSpace(23, 7), 7, max_depth=0)
+    def test_l404_201_deep_walk(self):
         # L(404, 201) genuinely needs a deep walk.
-        with pytest.raises(DepthLimitExceededError):
-            find_bridge(LensSpace(404, 201), 201, max_depth=64)
-        deep = find_bridge(LensSpace(404, 201), 201, max_depth=128)
-        assert len(deep.w) > 64
+        deep = find_bridge(LensSpace(404, 201), 201)
+        assert deep.w == "R" * 98
+        assert (deep.m_exp, deep.n_exp) == (200, 200)
+
+    def test_l133_45(self):
+        # The smallest p whose bridge lies beyond 2^20 nodes of breadth-first order.
+        bridge = find_bridge(LensSpace(133, 45), 45)
+        assert bridge.w == "L" * 20
+        assert bridge.n_exp in (44, 46)
 
     def test_both_partners(self):
         space = LensSpace(23, 7)
@@ -220,33 +223,28 @@ class TestFindBridge:
             ],
         }
 
-    def _forests(self, max_p: int) -> list[tuple[LensSpace, int]]:
-        out = []
-        for p in range(2, max_p + 1):
-            for q in range(1, p // 2 + 1):
-                if gcd(p, q) != 1:
-                    continue
-                space = LensSpace(p, q)
-                inv = invariants(space)
-                if inv.classification.value != "forest":
-                    continue
-                for qbar in sorted({space.q, inv.q_prime}):
-                    if division_window(p, qbar) is not None:
-                        out.append((space, qbar))
-        return out
-
     def test_sweep_small(self):
-        for space, qbar in self._forests(40):
+        for space, qbar in forest_windows(200):
             bridge = find_bridge(space, qbar)
             assert bridge.n_exp in (qbar - 1, qbar + 1)
             assert bridge.simplex_count == len(bridge.w) + 2
-            assert is_primitive(bridge.d_word).is_primitive
             e, d = bridge_end_homology(bridge)
             assert e == 1 and d == qbar
             assert d != e
+            if space.p <= 40:  # the oracle takes minutes on the longer words beyond
+                assert is_primitive(bridge.d_word).is_primitive
+
+    def test_length_bound(self):
+        # Over p = 4k + 4, qbar = 2k + 1 the bridge is R^(k - 2).
+        k = MAX_BRIDGE_LENGTH + 2
+        bridge = find_bridge(LensSpace(4 * k + 4, 2 * k + 1), 2 * k + 1)
+        assert bridge.w == "R" * MAX_BRIDGE_LENGTH
+        k += 1
+        with pytest.raises(ValueError, match=f"more than {MAX_BRIDGE_LENGTH}"):
+            find_bridge(LensSpace(4 * k + 4, 2 * k + 1), 2 * k + 1)
 
     def test_corridor_adjacent_simplices_share_one_edge(self):
-        for space, qbar in self._forests(40):
+        for space, qbar in forest_windows(40):
             corridor = find_bridge(space, qbar).corridor
             for a, b in zip(corridor, corridor[1:]):
                 assert len(set(a) & set(b)) == 2
@@ -255,7 +253,7 @@ class TestFindBridge:
 
     def test_find_is_minimal_and_lex_least(self):
         # Brute-force the tree level by level and compare.
-        for space, qbar in self._forests(30):
+        for space, qbar in forest_windows(30):
             m, r = division_window(space.p, qbar)
             bridge = find_bridge(space, qbar)
             frontier = [""]

@@ -50,6 +50,14 @@ class TestReduction:
     def test_length_subadditive(self, u: Word, v: Word):
         assert (u * v).length <= u.length + v.length
 
+    @given(words(), st.integers(min_value=-4, max_value=4))
+    def test_power_is_repeated_product(self, w: Word, n: int):
+        base = w if n >= 0 else w.inverse()
+        product = Word.identity()
+        for _ in range(abs(n)):
+            product = product * base
+        assert w**n == product
+
     @given(words())
     def test_letters_roundtrip(self, w: Word):
         assert Word.from_letters(w.letters()) == w
