@@ -31,7 +31,6 @@ from .presentations import (
     abelianization,
     goeritz_presentation,
     heegaard_space_report,
-    structure_text,
 )
 from .shell_bridge import NotForestError, bridge_report, find_bridge, shell_words
 from .verify import DEFAULT_SEED, run_all
@@ -92,7 +91,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         lines.append(f"goeritz group: {doc['goeritz']['reason']}")
     else:
         lines.append("goeritz group (up to finite extensions):")
-        lines.append(f"  structure: {structure_text(pres.structure)}")
+        lines.append(f"  structure: {pres.structure.text()}")
         lines.append(f"  abelianization: {doc['abelianization']}")
     _say(args, "\n".join(lines))
     return 0
@@ -221,7 +220,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         classification_p=max(200, args.max_p),
         seed=args.seed,
         workers=args.jobs,
-        inject_failure=args.inject_failure,
     )
     passed = all(r.passed for r in results)
     if args.format == "json":
@@ -320,8 +318,7 @@ def _parser() -> argparse.ArgumentParser:
     cmd.add_argument("--max-len", type=int, default=14)
     cmd.add_argument("--samples", type=int, default=100_000)
     cmd.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    cmd.add_argument("--jobs", type=int, default=1)
-    cmd.add_argument("--inject-failure", action="store_true", help=argparse.SUPPRESS)
+    cmd.add_argument("--jobs", type=int, default=1, help="worker processes, 1..CPU count")
     cmd.set_defaults(func=cmd_verify)
 
     return parser

@@ -18,6 +18,7 @@ from .shell_bridge import (
     NotForestError,
     PrincipalVertex,
     Shell,
+    base_pair,
     bridge_report,
     find_bridge,
     principal_vertex,
@@ -122,10 +123,11 @@ def build_principal_complex(
         raise ValueError(f"depth must be within 0..{MAX_PRINCIPAL_DEPTH}")
     if p != qbar * m + r:
         raise ValueError(f"inconsistent division: {p} != {qbar}*{m} + {r}")
+    left, right = base_pair(qbar, m, r)
     vertices = [
         Vertex("E", Word((("x", 1),))),
-        _pair_vertex("E_m", qbar, m - 1, qbar + r),
-        _pair_vertex("E_{m+1}", qbar, m, r),
+        _pair_vertex("E_m", qbar, *left),
+        _pair_vertex("E_{m+1}", qbar, *right),
     ]
     triangles = [("E", "E_m", "E_{m+1}")]
     frontier = [("", ("E_m", "E_{m+1}"))]
@@ -168,15 +170,7 @@ def build_bridge_corridor(bridge: Bridge) -> SimplicialComplex2:
         "E_{m+1}": f"E_{m + 1}",
         "E_" + bridge.w: "D",
     }
-    exponents = [
-        (f"E_{m}", m - 1, qbar + bridge.r),
-        (f"E_{m + 1}", m, bridge.r),
-        ("D", bridge.m_exp, bridge.n_exp),
-    ]
-    for i in range(len(bridge.w)):
-        prefix = bridge.w[:i]
-        v = principal_vertex(bridge.lens.p, qbar, m, bridge.r, prefix)
-        exponents.append(("E_" + prefix, v.m_exp, v.n_exp))
+    exponents = [(rename.get(label, label), *pair) for label, *pair in bridge.vertices]
     letters = sum(m_exp * (qbar + 1) + 1 + abs(n_exp) for _, m_exp, n_exp in exponents)
     if letters > MAX_CORRIDOR_LETTERS:
         raise ValueError(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations, product
 from math import gcd
 from typing import Union
 
@@ -26,8 +27,7 @@ class Power:
     def text(self) -> str:
         return f"{self.gen}^{self.exponent}"
 
-    def gap(self) -> str:
-        return f"{self.gen}^{self.exponent}"
+    gap = text
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,7 @@ class Commutator:
 
 
 Relator = Union[Power, Commutator]
+Flat = tuple[tuple[str, ...], tuple[Relator, ...]]
 
 
 @dataclass(frozen=True)
@@ -52,134 +53,116 @@ class Cyclic:
     gen: str
     order: int | None = None
 
+    def flatten(self) -> Flat:
+        relators = () if self.order is None else (Power(self.gen, self.order),)
+        return (self.gen,), relators
+
+    def text(self) -> str:
+        base = "Z" if self.order is None else f"Z/{self.order}"
+        return f"{base}<{self.gen}>"
+
+    def to_json(self) -> dict:
+        return {"kind": "cyclic", "gen": self.gen, "order": self.order}
+
 
 @dataclass(frozen=True)
 class FreeProductOfParts:
     parts: tuple["Structure", ...]
+
+    def flatten(self) -> Flat:
+        flat = [part.flatten() for part in self.parts]
+        gens = [g for part_gens, _ in flat for g in part_gens]
+        if len(set(gens)) != len(gens):
+            raise ValueError(f"duplicate generators across free factors: {gens}")
+        return tuple(gens), tuple(r for _, part_rels in flat for r in part_rels)
+
+    def text(self) -> str:
+        return "(" + " * ".join(part.text() for part in self.parts) + ")"
+
+    def to_json(self) -> dict:
+        return {"kind": "freeProduct", "parts": [part.to_json() for part in self.parts]}
 
 
 @dataclass(frozen=True)
 class DirectSum:
     parts: tuple["Structure", ...]
 
+    def flatten(self) -> Flat:
+        """The free product of the parts plus a commutator between every
+        two generators of different parts."""
+        gens, rels = FreeProductOfParts(self.parts).flatten()
+        pairs = combinations([part.flatten()[0] for part in self.parts], 2)
+        cross = tuple(Commutator(a, b) for left, right in pairs for a, b in product(left, right))
+        return gens, rels + cross
+
+    def text(self) -> str:
+        return "(" + " (+) ".join(part.text() for part in self.parts) + ")"
+
+    def to_json(self) -> dict:
+        return {"kind": "directSum", "parts": [part.to_json() for part in self.parts]}
+
 
 @dataclass(frozen=True)
 class AmalgamatedProduct:
+    """Merges the two sides, deduplicating shared generators and relators."""
+
     left: "Structure"
     right: "Structure"
     over: tuple[str, ...]
 
+    def flatten(self) -> Flat:
+        lg, lr = self.left.flatten()
+        rg, rr = self.right.flatten()
+        for g in self.over:
+            if g not in lg or g not in rg:
+                raise ValueError(f"amalgamated generator {g!r} missing from a side")
+        gens = lg + tuple(g for g in rg if g not in lg)
+        return gens, lr + tuple(r for r in rr if r not in lr)
+
+    def text(self) -> str:
+        over = ",".join(self.over)
+        return f"({self.left.text()} *_({over}) {self.right.text()})"
+
+    def to_json(self) -> dict:
+        return {
+            "kind": "amalgam",
+            "left": self.left.to_json(),
+            "right": self.right.to_json(),
+            "over": list(self.over),
+        }
+
 
 @dataclass(frozen=True)
 class HNN:
+    """Adds the stable letter and its commutation with the edge subgroup."""
+
     base: "Structure"
     over: tuple[str, ...]
     stable: str
 
-
-Structure = Union[Cyclic, FreeProductOfParts, DirectSum, AmalgamatedProduct, HNN]
-
-
-def flatten(node: Structure) -> tuple[tuple[str, ...], tuple[Relator, ...]]:
-    """Generators and relators of a structure tree.
-
-    Direct sums add commutators between all pairs of factors; amalgams
-    merge the two sides deduplicating shared generators and relators;
-    HNN extensions add the stable letter and its commutation with the
-    edge subgroup.
-    """
-    if isinstance(node, Cyclic):
-        relators: tuple[Relator, ...] = ()
-        if node.order is not None:
-            relators = (Power(node.gen, node.order),)
-        return (node.gen,), relators
-    if isinstance(node, FreeProductOfParts):
-        gens: list[str] = []
-        rels: list[Relator] = []
-        for part in node.parts:
-            g, r = flatten(part)
-            gens.extend(g)
-            rels.extend(r)
-        _require_distinct(gens)
-        return tuple(gens), tuple(rels)
-    if isinstance(node, DirectSum):
-        flat = [flatten(part) for part in node.parts]
-        gens = [g for part_gens, _ in flat for g in part_gens]
-        _require_distinct(gens)
-        rels = [r for _, part_rels in flat for r in part_rels]
-        for i in range(len(flat)):
-            for j in range(i + 1, len(flat)):
-                for a in flat[i][0]:
-                    for b in flat[j][0]:
-                        rels.append(Commutator(a, b))
-        return tuple(gens), tuple(rels)
-    if isinstance(node, AmalgamatedProduct):
-        lg, lr = flatten(node.left)
-        rg, rr = flatten(node.right)
-        for g in node.over:
-            if g not in lg or g not in rg:
-                raise ValueError(f"amalgamated generator {g!r} missing from a side")
-        gens = list(lg) + [g for g in rg if g not in lg]
-        rels = list(lr) + [r for r in rr if r not in lr]
-        return tuple(gens), tuple(rels)
-    if isinstance(node, HNN):
-        bg, br = flatten(node.base)
-        for g in node.over:
+    def flatten(self) -> Flat:
+        bg, br = self.base.flatten()
+        for g in self.over:
             if g not in bg:
                 raise ValueError(f"edge generator {g!r} missing from the base")
-        if node.stable in bg:
-            raise ValueError(f"stable letter {node.stable!r} clashes with the base")
-        rels = list(br) + [Commutator(g, node.stable) for g in node.over]
-        return bg + (node.stable,), tuple(rels)
-    raise TypeError(f"not a structure node: {node!r}")
+        if self.stable in bg:
+            raise ValueError(f"stable letter {self.stable!r} clashes with the base")
+        return bg + (self.stable,), br + tuple(Commutator(g, self.stable) for g in self.over)
 
+    def text(self) -> str:
+        over = ",".join(self.over)
+        return f"hnn({self.base.text()}, over=({over}), stable={self.stable})"
 
-def _require_distinct(gens: list[str]) -> None:
-    if len(set(gens)) != len(gens):
-        raise ValueError(f"duplicate generators across free factors: {gens}")
-
-
-def structure_text(node: Structure) -> str:
-    if isinstance(node, Cyclic):
-        base = "Z" if node.order is None else f"Z/{node.order}"
-        return f"{base}<{node.gen}>"
-    if isinstance(node, FreeProductOfParts):
-        return "(" + " * ".join(structure_text(p) for p in node.parts) + ")"
-    if isinstance(node, DirectSum):
-        return "(" + " (+) ".join(structure_text(p) for p in node.parts) + ")"
-    if isinstance(node, AmalgamatedProduct):
-        over = ",".join(node.over)
-        left = structure_text(node.left)
-        right = structure_text(node.right)
-        return f"({left} *_({over}) {right})"
-    if isinstance(node, HNN):
-        over = ",".join(node.over)
-        return f"hnn({structure_text(node.base)}, over=({over}), stable={node.stable})"
-    raise TypeError(f"not a structure node: {node!r}")
-
-
-def _structure_json(node: Structure) -> dict:
-    if isinstance(node, Cyclic):
-        return {"kind": "cyclic", "gen": node.gen, "order": node.order}
-    if isinstance(node, FreeProductOfParts):
-        return {"kind": "freeProduct", "parts": [_structure_json(p) for p in node.parts]}
-    if isinstance(node, DirectSum):
-        return {"kind": "directSum", "parts": [_structure_json(p) for p in node.parts]}
-    if isinstance(node, AmalgamatedProduct):
-        return {
-            "kind": "amalgam",
-            "left": _structure_json(node.left),
-            "right": _structure_json(node.right),
-            "over": list(node.over),
-        }
-    if isinstance(node, HNN):
+    def to_json(self) -> dict:
         return {
             "kind": "hnn",
-            "base": _structure_json(node.base),
-            "over": list(node.over),
-            "stable": node.stable,
+            "base": self.base.to_json(),
+            "over": list(self.over),
+            "stable": self.stable,
         }
-    raise TypeError(f"not a structure node: {node!r}")
+
+
+Structure = Union[Cyclic, FreeProductOfParts, DirectSum, AmalgamatedProduct, HNN]
 
 
 @dataclass(frozen=True)
@@ -189,7 +172,7 @@ class GroupPresentation:
     structure: Structure
 
     def __post_init__(self) -> None:
-        gens, rels = flatten(self.structure)
+        gens, rels = self.structure.flatten()
         if gens != self.generators or rels != self.relators:
             raise ValueError("flat form disagrees with the structure tree")
         named = set(self.generators)
@@ -200,13 +183,13 @@ class GroupPresentation:
 
     @classmethod
     def of(cls, structure: Structure) -> "GroupPresentation":
-        gens, rels = flatten(structure)
+        gens, rels = structure.flatten()
         return cls(gens, rels, structure)
 
     def text(self) -> str:
         lines = ["generators: " + ", ".join(self.generators), "relators:"]
         lines.extend(rel.text() for rel in self.relators)
-        lines.append("structure: " + structure_text(self.structure))
+        lines.append("structure: " + self.structure.text())
         return "\n".join(lines) + "\n"
 
     def gap(self) -> str:
@@ -222,7 +205,7 @@ class GroupPresentation:
         return {
             "generators": list(self.generators),
             "relators": [rel.text() for rel in self.relators],
-            "structure": _structure_json(self.structure),
+            "structure": self.structure.to_json(),
         }
 
 

@@ -87,29 +87,43 @@ class PrincipalVertex:
         return Word(pairs)
 
 
-def _base_pair(qbar: int, m: int, r: int) -> tuple[tuple[int, int], tuple[int, int]]:
+def base_pair(qbar: int, m: int, r: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Exponents of E_m and E_{m+1}, the two parents of the tree's root."""
     return (m - 1, qbar + r), (m, r)
+
+
+def _walk(qbar: int, m: int, r: int, w: str):
+    """Exponents of the base pair, then of E_v for every prefix v of w,
+    ending with E_w: one step of the mediant rule per letter."""
+    left, right = base_pair(qbar, m, r)
+    yield left
+    yield right
+    for letter in w:
+        mid = _mediant(left, right, qbar)
+        yield mid
+        if letter == "R":
+            right = mid
+        elif letter == "L":
+            left = mid
+        else:
+            raise ValueError(f"tree word letter {letter!r} is not L or R")
+    yield _mediant(left, right, qbar)
 
 
 def principal_vertex(p: int, qbar: int, m: int, r: int, w: str = "") -> PrincipalVertex:
     """Walk the mediant tree along w (letters L/R) from the base pair."""
     if p != qbar * m + r:
         raise ValueError(f"inconsistent division: {p} != {qbar}*{m} + {r}")
-    pair = _base_pair(qbar, m, r)
-    for letter in w:
-        mid = _mediant(pair[0], pair[1], qbar)
-        if letter == "R":
-            pair = (pair[0], mid)
-        elif letter == "L":
-            pair = (mid, pair[1])
-        else:
-            raise ValueError(f"tree word letter {letter!r} is not L or R")
-    m_exp, n_exp = _mediant(pair[0], pair[1], qbar)
+    *_, (m_exp, n_exp) = _walk(qbar, m, r, w)
     return PrincipalVertex(qbar, w, m_exp, n_exp)
 
 
 @dataclass(frozen=True)
 class Bridge:
+    """A minimal bridge.  vertices holds (label, m_exp, n_exp) for every
+    corridor vertex but E, in walk order: E_m, E_{m+1}, then E_v for each
+    prefix v of w; the last one, E_w, is the far end D."""
+
     lens: LensSpace
     qbar: int
     m: int
@@ -120,6 +134,7 @@ class Bridge:
     d_word: Word
     corridor: tuple[tuple[str, str, str], ...]
     simplex_count: int
+    vertices: tuple[tuple[str, int, int], ...]
 
 
 def _corridor(w: str) -> tuple[tuple[str, str, str], ...]:
@@ -183,18 +198,22 @@ def find_bridge(space: LensSpace, qbar: int) -> Bridge:
             f" more than {MAX_BRIDGE_LENGTH}"
         )
     w = "".join(letter * k for letter, k in runs)
-    vertex = principal_vertex(space.p, qbar, m, r, w)
+    corridor = _corridor(w)
+    labels = ["E_m", "E_{m+1}"] + [triangle[2] for triangle in corridor[1:]]
+    vertices = tuple((label, *pair) for label, pair in zip(labels, _walk(qbar, m, r, w)))
+    _, m_exp, n_exp = vertices[-1]
     return Bridge(
         lens=space,
         qbar=qbar,
         m=m,
         r=r,
         w=w,
-        m_exp=vertex.m_exp,
-        n_exp=vertex.n_exp,
-        d_word=vertex.word(),
-        corridor=_corridor(w),
+        m_exp=m_exp,
+        n_exp=n_exp,
+        d_word=PrincipalVertex(qbar, w, m_exp, n_exp).word(),
+        corridor=corridor,
         simplex_count=len(w) + 2,
+        vertices=vertices,
     )
 
 

@@ -293,11 +293,12 @@ def cyclic_reduce(w: Word) -> tuple[CyclicWord, Word]:
     Returns (cyclic class of core, conjugator); the identity
     w == conjugator * cyclic.to_word() * conjugator.inverse() holds exactly.
     """
-    letters = list(w.letters())
-    prefix: list[int] = []
-    while len(letters) >= 2 and letters[0] == letter_inverse(letters[-1]):
-        prefix.append(letters.pop(0))
-        letters.pop()
-    k = _least_rotation(tuple(letters))
-    conjugator = Word.from_letters(prefix + letters[:k])
-    return CyclicWord(tuple(letters[k:] + letters[:k])), conjugator
+    letters = w.letters()
+    lo, hi = 0, len(letters)
+    while hi - lo >= 2 and letters[lo] == letter_inverse(letters[hi - 1]):
+        lo += 1
+        hi -= 1
+    core = letters[lo:hi]
+    k = _least_rotation(core)
+    conjugator = Word.from_letters(letters[: lo + k])
+    return CyclicWord(core[k:] + core[:k]), conjugator

@@ -1,6 +1,7 @@
 """Tests for the command line front end."""
 
 import json
+import os
 
 import pytest
 
@@ -206,20 +207,39 @@ class TestVerifyCommand:
             "classification-equivalence",
         ]
 
-    def test_injected_failure_exits_one(self, capsys):
-        code, out, _ = run(capsys, *self.SMOKE, "--inject-failure")
-        assert code == 1
-        assert "FAIL injected-failure" in out
-        assert "counterexample" in out
+    @pytest.fixture
+    def oz_fails(self, monkeypatch):
+        # Every primitive class now fails the shape test; the first is x.
+        monkeypatch.setattr("goeritz.verify.oz_form_check", lambda cw: False)
 
-    def test_injected_failure_json(self, capsys):
-        code, out, _ = run(
-            capsys, "--format", "json", *self.SMOKE, "--inject-failure"
-        )
+    def test_injected_failure_exits_one(self, capsys, oz_fails):
+        code, out, _ = run(capsys, *self.SMOKE)
+        assert code == 1
+        assert "FAIL oz-necessity" in out
+        assert 'counterexample: {"word": "x"}' in out
+        assert out.count("ok  ") == 4
+        assert "1 suite(s) failed" in out
+
+    def test_injected_failure_json(self, capsys, oz_fails):
+        code, out, _ = run(capsys, "--format", "json", *self.SMOKE)
         assert code == 1
         doc = json.loads(out)
         assert doc["passed"] is False
-        assert doc["results"][-1]["counterexample"]["word"] == "x^2y^2"
+        by_name = {r["name"]: r for r in doc["results"]}
+        assert by_name.pop("oz-necessity")["counterexample"] == {"word": "x"}
+        assert all(r["passed"] for r in by_name.values())
+
+    @pytest.mark.parametrize("jobs", [0, (os.cpu_count() or 1) + 1])
+    def test_jobs_out_of_range_exits_two(self, capsys, monkeypatch, jobs):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the jobs check")
+
+        monkeypatch.setattr("goeritz.verify.ProcessPoolExecutor", refuse)
+        monkeypatch.setattr("goeritz.verify.check_shell_primitivity", refuse)
+        code, out, err = run(capsys, *self.SMOKE, "--jobs", str(jobs))
+        assert code == 2
+        assert out == ""
+        assert "jobs must be within 1.." in err
 
     def test_quiet_hides_passing_lines(self, capsys):
         code, out, _ = run(capsys, "--quiet", *self.SMOKE)

@@ -20,7 +20,6 @@ from goeritz.presentations import (
     Power,
     StabilizerKind,
     abelianization,
-    flatten,
     goeritz_presentation,
     heegaard_space_report,
     stabilizer_presentation,
@@ -29,12 +28,12 @@ from goeritz.presentations import (
 
 class TestFlatten:
     def test_cyclic(self):
-        assert flatten(Cyclic("alpha", 2)) == (("alpha",), (Power("alpha", 2),))
-        assert flatten(Cyclic("beta")) == (("beta",), ())
+        assert Cyclic("alpha", 2).flatten() == (("alpha",), (Power("alpha", 2),))
+        assert Cyclic("beta").flatten() == (("beta",), ())
 
     def test_direct_sum_cross_commutators(self):
         node = DirectSum((Cyclic("a", 2), Cyclic("b"), Cyclic("c", 3)))
-        gens, rels = flatten(node)
+        gens, rels = node.flatten()
         assert gens == ("a", "b", "c")
         assert rels == (
             Power("a", 2),
@@ -45,13 +44,13 @@ class TestFlatten:
         )
 
     def test_free_product_no_commutators(self):
-        gens, rels = flatten(FreeProductOfParts((Cyclic("a", 2), Cyclic("b"))))
+        gens, rels = FreeProductOfParts((Cyclic("a", 2), Cyclic("b"))).flatten()
         assert gens == ("a", "b")
         assert rels == (Power("a", 2),)
 
     def test_duplicate_generator_rejected(self):
         with pytest.raises(ValueError):
-            flatten(FreeProductOfParts((Cyclic("a"), Cyclic("a", 2))))
+            FreeProductOfParts((Cyclic("a"), Cyclic("a", 2))).flatten()
 
     def test_amalgam_dedupes_shared_factor(self):
         node = AmalgamatedProduct(
@@ -59,21 +58,21 @@ class TestFlatten:
             DirectSum((Cyclic("a", 2), Cyclic("c", 2))),
             over=("a",),
         )
-        gens, rels = flatten(node)
+        gens, rels = node.flatten()
         assert gens == ("a", "b", "c")
         assert rels.count(Power("a", 2)) == 1
         assert Commutator("a", "c") in rels
 
     def test_amalgam_checks_over(self):
         with pytest.raises(ValueError):
-            flatten(AmalgamatedProduct(Cyclic("a", 2), Cyclic("b", 2), over=("a",)))
+            AmalgamatedProduct(Cyclic("a", 2), Cyclic("b", 2), over=("a",)).flatten()
 
     def test_hnn(self):
-        gens, rels = flatten(HNN(Cyclic("a", 2), over=("a",), stable="t"))
+        gens, rels = HNN(Cyclic("a", 2), over=("a",), stable="t").flatten()
         assert gens == ("a", "t")
         assert rels == (Power("a", 2), Commutator("a", "t"))
         with pytest.raises(ValueError):
-            flatten(HNN(Cyclic("a", 2), over=("a",), stable="a"))
+            HNN(Cyclic("a", 2), over=("a",), stable="a").flatten()
 
     def test_presentation_invariant_enforced(self):
         with pytest.raises(ValueError):
@@ -202,6 +201,119 @@ class TestGoeritzPresentation:
         assert data["structure"]["kind"] == "hnn"
         assert data["structure"]["stable"] == "upsilon"
         assert data["generators"][0] == "alpha"
+
+
+def _cyclic_json(gen, order=None):
+    return {"kind": "cyclic", "gen": gen, "order": order}
+
+
+class TestPinnedRenderings:
+    """Whole renderings of the two Goeritz cases, so that every node kind's
+    JSON and the GAP text are pinned, not only a few keys."""
+
+    def test_amalgam_json(self):
+        assert goeritz_presentation(LensSpace(12, 5)).to_json() == {
+            "generators": ["alpha", "beta", "gamma", "sigma1", "sigma2", "tau"],
+            "relators": [
+                "alpha^2",
+                "gamma^2",
+                "sigma1^2",
+                "sigma2^2",
+                "[alpha,beta]",
+                "[alpha,gamma]",
+                "[alpha,sigma1]",
+                "[alpha,sigma2]",
+                "tau^2",
+                "[alpha,tau]",
+            ],
+            "structure": {
+                "kind": "amalgam",
+                "left": {
+                    "kind": "directSum",
+                    "parts": [
+                        _cyclic_json("alpha", 2),
+                        {
+                            "kind": "freeProduct",
+                            "parts": [
+                                _cyclic_json("beta"),
+                                _cyclic_json("gamma", 2),
+                                _cyclic_json("sigma1", 2),
+                                _cyclic_json("sigma2", 2),
+                            ],
+                        },
+                    ],
+                },
+                "right": {
+                    "kind": "directSum",
+                    "parts": [_cyclic_json("alpha", 2), _cyclic_json("tau", 2)],
+                },
+                "over": ["alpha"],
+            },
+        }
+
+    def test_hnn_json(self):
+        assert goeritz_presentation(LensSpace(23, 7)).to_json() == {
+            "generators": [
+                "alpha",
+                "beta1",
+                "beta2",
+                "gamma1",
+                "gamma2",
+                "sigma1",
+                "sigma2",
+                "upsilon",
+            ],
+            "relators": [
+                "alpha^2",
+                "gamma1^2",
+                "gamma2^2",
+                "sigma1^2",
+                "sigma2^2",
+                "[alpha,beta1]",
+                "[alpha,beta2]",
+                "[alpha,gamma1]",
+                "[alpha,gamma2]",
+                "[alpha,sigma1]",
+                "[alpha,sigma2]",
+                "[alpha,upsilon]",
+            ],
+            "structure": {
+                "kind": "hnn",
+                "base": {
+                    "kind": "directSum",
+                    "parts": [
+                        _cyclic_json("alpha", 2),
+                        {
+                            "kind": "freeProduct",
+                            "parts": [
+                                _cyclic_json("beta1"),
+                                _cyclic_json("beta2"),
+                                _cyclic_json("gamma1", 2),
+                                _cyclic_json("gamma2", 2),
+                                _cyclic_json("sigma1", 2),
+                                _cyclic_json("sigma2", 2),
+                            ],
+                        },
+                    ],
+                },
+                "over": ["alpha"],
+                "stable": "upsilon",
+            },
+        }
+
+    def test_hnn_gap(self):
+        commutators = ", ".join(
+            f"alpha*{g}*alpha^-1*{g}^-1"
+            for g in ("beta1", "beta2", "gamma1", "gamma2", "sigma1", "sigma2", "upsilon")
+        )
+        assert goeritz_presentation(LensSpace(23, 7)).gap() == (
+            'F := FreeGroup( "alpha", "beta1", "beta2", "gamma1", "gamma2",'
+            ' "sigma1", "sigma2", "upsilon" );;\n'
+            "AssignGeneratorVariables( F );;\n"
+            "G := F / [ alpha^2, gamma1^2, gamma2^2, sigma1^2, sigma2^2, "
+            + commutators
+            + " ];\n"
+        )
 
 
 class TestAbelianization:

@@ -121,6 +121,14 @@ class TestChecks:
         assert result.passed
         assert result.checked >= 10
 
+    def test_bridge_length_bound_is_a_counterexample(self, monkeypatch):
+        monkeypatch.setattr("goeritz.shell_bridge.MAX_BRIDGE_LENGTH", 0)
+        result = check_bridges(max_p=30)
+        assert not result.passed
+        reason = result.counterexample["reason"]
+        assert reason.startswith("no bridge: ")
+        assert "tree letters, more than 0" in reason
+
     def test_classification_small(self):
         result = check_classification(max_p=60)
         assert result.passed
@@ -153,7 +161,8 @@ class TestRunAll:
         ]
         assert all(r.passed for r in results)
 
-    def test_injected_failure_is_reported(self):
+    def test_injected_failure_is_reported(self, monkeypatch):
+        monkeypatch.setattr("goeritz.verify.oz_form_check", lambda cw: False)
         results = run_all(
             max_p=8,
             exhaustive_len=4,
@@ -161,12 +170,11 @@ class TestRunAll:
             random_len=8,
             oz_len=6,
             classification_p=10,
-            inject_failure=True,
         )
-        assert not results[-1].passed
-        assert results[-1].counterexample is not None
-        assert "word" in results[-1].counterexample
-        assert all(r.passed for r in results[:-1])
+        failed = [r for r in results if not r.passed]
+        assert [r.name for r in failed] == ["oz-necessity"]
+        assert failed[0].counterexample == {"word": "x"}
+        assert failed[0].checked == 1
 
 
 class TestCheckResult:

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from goeritz.words import (
@@ -138,6 +138,8 @@ class TestCyclic:
         assert w.inverse().abelianization() == -w.abelianization()
 
     @given(words())
+    # A conjugator far longer than the strategy's exponents reach.
+    @example(parse_word("x^100000yx^-100000"))
     def test_reconstruction(self, w: Word):
         cyc, conj = cyclic_reduce(w)
         assert conj * cyc.to_word() * conj.inverse() == w
