@@ -28,10 +28,10 @@ from .words import Word, parse_word
 MAX_PRINCIPAL_DEPTH = 12
 MAX_BALL_RADIUS = 4
 MAX_BALL_BRANCHING = 16
-# The corridor runs the Whitehead oracle on every one of its words.  Every
-# forest case with p <= 200 fits; the largest, L(200, 99), holds 247,701
-# letters and exports in about 11 s.
-MAX_CORRIDOR_LETTERS = 250_000
+# The corridor's words hold sum(2 m_exp + 2) syllables, the cost of
+# building, deciding and exporting them.  Every forest case with
+# p <= 2000 fits; the largest, L(2000, 999), holds 500,002.
+MAX_CORRIDOR_SYLLABLES = 500_002
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ def build_shell_complex(shell: Shell) -> SimplicialComplex2:
     """Fan of p triangles {E, E_i, E_i+1} around the center disk E."""
     vertices = [Vertex("E", shell.e_word, True)]
     for k, word in enumerate(shell.words):
-        vertices.append(Vertex(f"E_{k}", word, is_primitive(word).is_primitive))
+        vertices.append(Vertex(f"E_{k}", word, k in shell.primitive_indices))
     triangles = [("E", f"E_{i}", f"E_{i + 1}") for i in range(shell.p)]
     return SimplicialComplex2(
         tuple(vertices),
@@ -161,8 +161,8 @@ def build_bridge_corridor(bridge: Bridge) -> SimplicialComplex2:
     E_<m+1>; the far vertex is D.  Primitivity flags come from the
     primitivity oracle, so the two ends are flagged and no interior
     vertex is.  A corridor whose words hold more than
-    MAX_CORRIDOR_LETTERS letters in all raises ValueError before the
-    oracle runs.
+    MAX_CORRIDOR_SYLLABLES syllables in all raises ValueError before any
+    word is built.
     """
     m, qbar = bridge.m, bridge.qbar
     rename = {
@@ -171,11 +171,11 @@ def build_bridge_corridor(bridge: Bridge) -> SimplicialComplex2:
         "E_" + bridge.w: "D",
     }
     exponents = [(rename.get(label, label), *pair) for label, *pair in bridge.vertices]
-    letters = sum(m_exp * (qbar + 1) + 1 + abs(n_exp) for _, m_exp, n_exp in exponents)
-    if letters > MAX_CORRIDOR_LETTERS:
+    syllables = sum(2 * m_exp + 2 for _, m_exp, _ in exponents)
+    if syllables > MAX_CORRIDOR_SYLLABLES:
         raise ValueError(
-            f"{bridge.lens!r}: bridge corridor words hold {letters} letters,"
-            f" more than {MAX_CORRIDOR_LETTERS}"
+            f"{bridge.lens!r}: bridge corridor words hold {syllables} syllables,"
+            f" more than {MAX_CORRIDOR_SYLLABLES}"
         )
     vertices = [Vertex("E", Word((("x", 1),)), True)]
     vertices.extend(_oracle_vertex(label, qbar, *pair) for label, *pair in exponents)

@@ -1,18 +1,28 @@
 """Primitivity decisions in the rank-2 free group.
 
-Whitehead's algorithm specializes in rank 2 to four length-reducing
-candidate automorphisms acting on conjugacy classes: x -> xy, x -> xy^-1,
-y -> yx, y -> yx^-1 (every other Whitehead automorphism agrees with one of
-these, or with the identity, in Out(F2)).  A cyclic word is primitive iff
-steepest descent under these moves terminates at length 1.
+A cyclically reduced word that uses both generators is primitive, or a
+primitive power, only if it has the Osborne-Zieschang shape: each
+generator appears with one sign, one generator s (the separator) appears
+only in syllables s^(+-1), and the other generator t has exponent
+magnitudes n or n + 1.  Such a word is a product of A = s t^n and
+B = s t^(n+1), which form a basis, so rewriting it over A and B keeps the
+answer and leaves one letter per s-syllable.  Repeating this is the
+Euclidean algorithm on syllables (Osborne and Zieschang 1981; Cohen,
+Metzler and Zimmermann 1981): the class is primitive iff the descent ends
+at a single letter, and a primitive power iff it ends at a single
+syllable.  Each level at least halves the syllable count.
+
+Whitehead's four rank-2 moves, x -> xy, x -> xy^-1, y -> yx and
+y -> yx^-1, stay as the independent reference: enumerate_primitives
+closes the single letters under them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from itertools import groupby
 
-from .words import CyclicWord, Word, letter_inverse
+from .words import CyclicWord, Word, _least_rotation, parse_word
 
 MAX_ENUMERATION_LENGTH = 20
 
@@ -26,6 +36,7 @@ _MOVES: tuple[tuple[str, tuple[tuple[int, ...], ...]], ...] = (
 
 MOVE_IDS = tuple(name for name, _ in _MOVES)
 _MOVE_TABLE = dict(_MOVES)
+_OTHER = {"x": "y", "y": "x"}
 
 
 def _reduce_letters(codes: list[int]) -> tuple[int, ...]:
@@ -55,35 +66,61 @@ def apply_whitehead(w: CyclicWord, move_id: str) -> CyclicWord:
     return CyclicWord(_apply_letters(w.letters, _MOVE_TABLE[move_id]))
 
 
-def _descend(letters: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[tuple[str, int], ...]]:
-    """Steepest descent; ties broken by move order.
+def _cyclic_exponents(w: CyclicWord | Word | str) -> tuple[str, list[int]]:
+    """Generator of the first syllable and the syllable exponents of the
+    cyclically reduced class of w; consecutive syllables alternate
+    generators, and so do the last and the first unless there is one."""
+    if isinstance(w, str):
+        w = parse_word(w)
+    if isinstance(w, CyclicWord):
+        syllables = [
+            ("xy"[c >> 1], len(list(run)) * (1 - 2 * (c & 1))) for c, run in groupby(w.letters)
+        ]
+    else:
+        syllables = w.syllables
+    exps = [e for _, e in syllables]
+    lo, hi = 0, len(exps)
+    # An odd count of alternating syllables starts and ends with the same generator.
+    while hi - lo > 1 and (hi - lo) % 2:
+        hi -= 1
+        exps[lo] += exps[hi]
+        if exps[lo] == 0:
+            lo += 1
+    return (syllables[lo][0] if lo < hi else ""), exps[lo:hi]
 
-    Whitehead peak reduction guarantees the terminal length is minimal
-    over the automorphism orbit, so length 1 at the end decides
-    primitivity.
+
+def _shape(exps: list[int]) -> tuple[int, int, list[int], int, int] | None:
+    """The descent's test on two or more alternating syllable exponents.
+
+    Returns the offset of the separator's syllables, the separator's
+    exponent, the other generator's exponents t and their least and
+    greatest value, or None when no separator exists or t spreads over
+    more than two adjacent values (which includes mixed signs).
     """
-    trace: list[tuple[str, int]] = []
-    while len(letters) > 1:
-        best: tuple[int, ...] | None = None
-        best_id = ""
-        for move_id, sub in _MOVES:
-            image = _apply_letters(letters, sub)
-            if len(image) < len(letters) and (best is None or len(image) < len(best)):
-                best, best_id = image, move_id
-        if best is None:
-            break
-        letters = best
-        trace.append((best_id, len(letters)))
-    return letters, tuple(trace)
+    for off in (0, 1):
+        s = exps[off::2]
+        if abs(s[0]) == 1 and min(s) == max(s):
+            t = exps[1 - off::2]
+            lo, hi = min(t), max(t)
+            return (off, s[0], t, lo, hi) if hi - lo <= 1 else None
+    return None
 
 
-def _minimal_period(letters: tuple[int, ...]) -> int:
-    """Smallest d dividing the length with s[i] == s[i - d] throughout."""
-    n = len(letters)
-    for d in range(1, n + 1):
-        if n % d == 0 and all(letters[i] == letters[i - d] for i in range(d, n)):
-            return d
-    return n
+def _power_root(first: str, exps: list[int], k: int) -> Word:
+    """The first 1/k of the canonical rotation of a primitive power.
+
+    Each generator of such a word has one sign and x's letter sorts
+    first, so the least rotation starts at an x-run, and comparing
+    rotations letter by letter compares their (x-run, y-run) pairs with
+    the longer x-run and the shorter y-run first.
+    """
+    if len(exps) == 1:
+        return Word(((first, exps[0] // k),))
+    if first == "y":
+        exps = exps[1:] + exps[:1]
+    j = 2 * _least_rotation([(-abs(a), abs(b)) for a, b in zip(exps[::2], exps[1::2])])
+    exps = exps[j:] + exps[:j]
+    return Word(tuple(zip("xy" * len(exps), exps[: len(exps) // k])))
 
 
 @dataclass(frozen=True)
@@ -98,63 +135,63 @@ def is_primitive(w: CyclicWord | Word | str) -> PrimitivityVerdict:
     """Decide whether the class of w is primitive and whether it is a
     primitive power u^k (u primitive, k >= 1).
 
-    The root u is the subword on the minimal rotational period; w is a
-    primitive power iff that root is primitive.
+    One descent answers both.  Each level adds (label, letters) to the
+    reduction trace: the label "x->A, y->B" is the substitution that maps
+    the next level's word back onto this level's, and letters is the
+    next level's length.  A descent that ends at a syllable g^k makes w
+    a power u^k, and power_root is u read off the canonical rotation.
     """
-    w = CyclicWord.of(w)
-    final, trace = _descend(w.letters)
-    primitive = len(final) == 1
-    if w.is_identity():
-        return PrimitivityVerdict(False, False, None, trace)
-    period = _minimal_period(w.letters)
-    if period == len(w.letters):
-        root, root_primitive = w, primitive
-    else:
-        root = CyclicWord(w.letters[:period])
-        root_primitive = len(_descend(root.letters)[0]) == 1
-    power_root = root.to_word() if root_primitive else None
-    return PrimitivityVerdict(primitive, root_primitive, power_root, trace)
+    cyclic = first, exps = _cyclic_exponents(w)
+    trace: list[tuple[str, int]] = []
+    while len(exps) > 1:
+        shape = _shape(exps)
+        if shape is None:
+            return PrimitivityVerdict(False, False, None, tuple(trace))
+        off, s_exp, t, lo, hi = shape
+        s_gen = first if off == 0 else _OTHER[first]
+        t_gen = _OTHER[s_gen]
+        n, step = (lo, 1) if lo > 0 else (hi, -1)
+        a = Word(((s_gen, s_exp), (t_gen, n)))
+        trace.append((f"x->{a}, y->{a * Word(((t_gen, step),))}", len(t)))
+        if lo == hi:
+            first, exps = "x", [len(t)]
+            continue
+        # Runs of A = s t^n (x) and B = s t^(n+1) (y), cut where t changes.
+        cuts = [i for i in range(len(t)) if t[i] != t[i - 1]]
+        first = "x" if t[cuts[0]] == n else "y"
+        exps = [j - i for i, j in zip(cuts, cuts[1:])] + [cuts[0] + len(t) - cuts[-1]]
+    if not exps:
+        return PrimitivityVerdict(False, False, None, ())
+    k = abs(exps[0])
+    return PrimitivityVerdict(k == 1, True, _power_root(*cyclic, k), tuple(trace))
 
 
 # One verdict answers both questions; both names stay public.
 is_primitive_power = is_primitive
 
 
-def _role_x_shape(syllables: tuple[tuple[str, int], ...]) -> bool:
-    xs = [e for g, e in syllables if g == "x"]
-    ys = [e for g, e in syllables if g == "y"]
-    if not xs:
-        return False
-    if not (all(e == 1 for e in xs) or all(e == -1 for e in xs)):
-        return False
-    if not ys:
-        return True
-    return max(ys) - min(ys) <= 1
-
-
 def oz_form_check(w: CyclicWord | Word | str) -> bool:
     """Osborne-Zieschang shape test, necessary for primitivity.
 
-    True iff w is, up to exchanging generator roles, a product of terms
-    x^e y^n and x^e y^(n+1) for a single sign e and a fixed n: every
-    x-syllable exponent is exactly e and the y-syllable exponents span at
-    most two adjacent integers.  Not sufficient: xy^2xy^2xyxy has the
-    shape yet is not even a primitive power.  Vacuously true for the
-    identity.
+    The first level of the descent in is_primitive: true iff w is, up to
+    exchanging generator roles, a product of terms x^e y^n and
+    x^e y^(n+1) for a single sign e and a fixed n, or a single letter.
+    Not sufficient: xy^2xy^2xyxy has the shape yet is not even a
+    primitive power.  Vacuously true for the identity.
     """
-    cyc = CyclicWord.of(w)
-    if cyc.is_identity():
-        return True
-    return _role_x_shape(cyc.syllables) or _role_x_shape(cyc.swap_generators().syllables)
+    _, exps = _cyclic_exponents(w)
+    if len(exps) <= 1:
+        return not exps or abs(exps[0]) == 1
+    return _shape(exps) is not None
 
 
 def enumerate_primitives(max_len: int) -> set[CyclicWord]:
     """All primitive conjugacy classes of cyclic length <= max_len.
 
     BFS closure of the four moves from the single-letter seeds.  Complete
-    because a primitive word's descent passes only through words no longer
-    than itself, and each move's inverse is again one of the four, so the
-    reversed path stays inside the length bound.
+    because a primitive word's Whitehead descent passes only through words
+    no longer than itself, and each move's inverse is again one of the
+    four, so the reversed path stays inside the length bound.
     """
     if max_len > MAX_ENUMERATION_LENGTH:
         raise ValueError(
@@ -175,9 +212,3 @@ def enumerate_primitives(max_len: int) -> set[CyclicWord]:
                     next_frontier.append(image)
         frontier = next_frontier
     return seen
-
-
-def primitive_abelianization_ok(w: CyclicWord) -> bool:
-    """gcd of the exponent sums is 1, a necessary abelian condition."""
-    pair = w.abelianization()
-    return gcd(pair.e_x, pair.e_y) == 1

@@ -18,9 +18,11 @@ shallowest such vertex is one of the two Farey parents of r/(qbar - r)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd
 
-from .lens import Classification, LensSpace, division_window, invariants, modular_partner
+from .lens import Classification, LensSpace, division_window, invariants
+from .primitivity import is_primitive
 from .words import Word
 
 # Longest tree word find_bridge builds; the corridor labels grow with its
@@ -37,12 +39,16 @@ class Shell:
     p: int
     qbar: int
     words: tuple[Word, ...]
-    primitive_indices: frozenset[int]
 
     e_word: Word = field(default=Word((("x", 1),)))
 
     def word(self, k: int) -> Word:
         return self.words[k]
+
+    @cached_property
+    def primitive_indices(self) -> frozenset[int]:
+        """Indices k whose word E_k the primitivity oracle accepts."""
+        return frozenset(k for k, w in enumerate(self.words) if is_primitive(w).is_primitive)
 
 
 def shell_words(p: int, qbar: int) -> Shell:
@@ -64,9 +70,7 @@ def shell_words(p: int, qbar: int) -> Shell:
             pairs.append(("x", 1))
             pairs.append(("y", g))
         words.append(Word(tuple(pairs)))
-    partner = modular_partner(p, qbar)
-    indices = frozenset({1, partner, p - partner, p - 1})
-    return Shell(p, qbar, tuple(words), indices)
+    return Shell(p, qbar, tuple(words))
 
 
 def _mediant(a: tuple[int, int], b: tuple[int, int], qbar: int) -> tuple[int, int]:

@@ -52,15 +52,17 @@ class CheckResult:
 
 def _suite(name: str, detail: str, cases) -> CheckResult:
     """Count and time the cases, each None when it passes or else a
-    counterexample dict, stopping at the first counterexample."""
+    counterexample dict, stopping at the first counterexample.  A suite
+    with no cases fails, since it has shown nothing."""
     start = time.perf_counter()
     checked = 0
+    bad = None
     for bad in cases:
         checked += 1
         if bad is not None:
-            elapsed = time.perf_counter() - start
-            return CheckResult(name, False, checked, elapsed, counterexample=bad)
-    return CheckResult(name, True, checked, time.perf_counter() - start, detail)
+            break
+    elapsed = time.perf_counter() - start
+    return CheckResult(name, checked > 0 and bad is None, checked, elapsed, detail, bad)
 
 
 def _is_least_rotation(s: list[int]) -> bool:
@@ -217,7 +219,7 @@ def check_obstruction_soundness(
         checked += more
     return CheckResult(
         name="obstruction-soundness",
-        passed=bad is None,
+        passed=checked > 0 and bad is None,
         checked=checked,
         elapsed=time.perf_counter() - start,
         detail=f"exhaustive length <= {exhaustive_len} plus {samples} samples <= {random_len}",
@@ -233,10 +235,7 @@ def check_shell_primitivity(max_p: int = 50) -> CheckResult:
             for qbar in range(2, p // 2 + 1):
                 if gcd(p, qbar) != 1:
                     continue
-                shell = shell_words(p, qbar)
-                actual = {
-                    k for k in range(p + 1) if is_primitive(shell.word(k)).is_primitive
-                }
+                actual = shell_words(p, qbar).primitive_indices
                 partner = modular_partner(p, qbar)
                 expected = {1, partner, p - partner, p - 1}
                 yield None if actual == expected else {

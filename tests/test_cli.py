@@ -154,6 +154,13 @@ class TestComplexCommand:
         labels = {v.label for v in complex_.vertices}
         assert labels == {"D", "E", "E_2", "E_3"}
 
+    @pytest.mark.parametrize("p, qbar", [(404, 201), (2000, 999)])
+    def test_deep_corridor_answers(self, capsys, p, qbar):
+        code, out, _ = run(capsys, "--format", "json", "complex", "bridge", str(p), str(qbar))
+        assert code == 0
+        doc = json.loads(out)
+        assert {v["label"] for v in doc["vertices"] if v.get("primitive")} == {"D", "E"}
+
     def test_dot_output(self, capsys):
         code, out, _ = run(capsys, "--format", "dot", "complex", "shell", "5", "2")
         assert code == 0
@@ -186,7 +193,8 @@ class TestComplexCommand:
 
 
 class TestVerifyCommand:
-    SMOKE = ("verify", "--max-p", "10", "--max-len", "6", "--samples", "200")
+    # L(12, 5) is the smallest forest space, so every suite checks a case.
+    SMOKE = ("verify", "--max-p", "12", "--max-len", "6", "--samples", "200")
 
     def test_smoke_passes(self, capsys):
         code, out, _ = run(capsys, *self.SMOKE)
@@ -240,6 +248,14 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert "jobs must be within 1.." in err
+
+    def test_empty_suite_fails_with_its_detail(self, capsys):
+        code, out, _ = run(capsys, "verify", "--max-p", "10", "--max-len", "6", "--samples", "200")
+        assert code == 1
+        line = next(line for line in out.splitlines() if "bridge-validity" in line)
+        assert line.startswith("FAIL")
+        assert " 0 checked" in line
+        assert line.endswith("(forest spaces with p <= 10, both window types)")
 
     def test_quiet_hides_passing_lines(self, capsys):
         code, out, _ = run(capsys, "--quiet", *self.SMOKE)

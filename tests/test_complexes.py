@@ -6,9 +6,8 @@ import json
 
 import pytest
 
-from goeritz import complexes
 from goeritz.complexes import (
-    MAX_CORRIDOR_LETTERS,
+    MAX_CORRIDOR_SYLLABLES,
     SimplicialComplex2,
     Vertex,
     build_bridge_corridor,
@@ -124,19 +123,16 @@ class TestBridgeCorridor:
         assert c.vertex("E_").primitive is False
         assert c.vertex("D").primitive is True
 
-    def test_letter_bound(self, monkeypatch):
-        # L(200, 99) holds the most corridor letters of any p <= 200;
-        # L(204, 101), the next of its family, is past the bound.
-        with pytest.raises(ValueError, match=f"more than {MAX_CORRIDOR_LETTERS}"):
-            build_bridge_corridor(find_bridge(LensSpace(204, 101), 101))
-        words = []
-        real = complexes.is_primitive
-        monkeypatch.setattr(
-            complexes, "is_primitive", lambda w: words.append(w) or real("x")
-        )
-        c = build_bridge_corridor(find_bridge(LensSpace(200, 99), 99))
-        assert sum(w.length for w in words) == 247_701 <= MAX_CORRIDOR_LETTERS
+    def test_syllable_bound(self):
+        # L(2000, 999) holds the most corridor syllables of any p <= 2000;
+        # L(2004, 1001), the next of its family, is past the bound.
+        with pytest.raises(ValueError, match=f"more than {MAX_CORRIDOR_SYLLABLES}"):
+            build_bridge_corridor(find_bridge(LensSpace(2004, 1001), 1001))
+        c = build_bridge_corridor(find_bridge(LensSpace(2000, 999), 999))
+        words = [v.word for v in c.vertices if v.label != "E"]
+        assert sum(len(w.syllables) for w in words) == 500_002 == MAX_CORRIDOR_SYLLABLES
         assert len(c.triangles) == c.meta["simplexCount"]
+        assert {v.label for v in c.vertices if v.primitive} == {"D", "E"}
 
     def test_interiors_never_flagged(self):
         for p, q, qbar in [(12, 5, 5), (17, 5, 5), (23, 7, 7), (29, 12, 12)]:

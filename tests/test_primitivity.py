@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from math import gcd
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goeritz.primitivity import (
+    MAX_ENUMERATION_LENGTH,
     MOVE_IDS,
     apply_whitehead,
     enumerate_primitives,
@@ -15,6 +17,7 @@ from goeritz.primitivity import (
     is_primitive_power,
     oz_form_check,
 )
+from goeritz.verify import DEFAULT_SEED, _random_letters, canonical_classes
 from goeritz.words import CyclicWord, Word, letter_inverse, parse_word
 
 raw_pairs = st.lists(
@@ -66,10 +69,24 @@ class TestIsPrimitive:
         assert lengths[-1] == 1
 
     def test_trace_replays(self):
-        w = CyclicWord.of("(xy^5)^4xy^4")
-        for move_id, length in is_primitive(w).reduction_trace:
-            w = apply_whitehead(w, move_id)
-            assert w.length == length
+        # Each level's label is the substitution x -> A, y -> B that maps the
+        # next level's word back onto this one; replayed backwards from the
+        # final syllable x^k, with each length checked on the way, it
+        # rebuilds the input class.
+        texts = ("(xy^5)^4xy^4", "x^-1y^-3x^-1y^-4", "yx^2yx^3yx^2", "(xy^-2xy^-3)^3", "(xy)^4")
+        for text in texts:
+            w = CyclicWord.of(text)
+            verdict = is_primitive(w)
+            assert verdict.is_primitive_power and verdict.reduction_trace
+            word = Word((("x", w.length // verdict.power_root.length),))
+            for label, length in reversed(verdict.reduction_trace):
+                assert word.length == length
+                sub = dict(part.split("->") for part in label.split(", "))
+                replayed = Word.identity()
+                for gen, exp in word.syllables:
+                    replayed = replayed * parse_word(sub[gen]) ** exp
+                word = replayed
+            assert CyclicWord.of(word) == w, text
 
     @given(words)
     def test_invariance_under_inverse(self, w: Word):
@@ -197,6 +214,48 @@ class TestEnumeratePrimitives:
         primitives = enumerate_primitives(7)
         for w in all_cyclic_words(7):
             assert is_primitive(w).is_primitive == (w in primitives)
+
+
+@pytest.fixture(scope="module")
+def primitives() -> set[CyclicWord]:
+    return enumerate_primitives(MAX_ENUMERATION_LENGTH)
+
+
+def whitehead_reference(cw: CyclicWord, primitives: set[CyclicWord]):
+    """(is_primitive, is_primitive_power, power_root) from the Whitehead
+    closure: a class is a primitive power iff the root on its minimal
+    rotational period is primitive."""
+    n = cw.length
+    period = next(
+        d for d in range(1, n + 1) if n % d == 0 and cw.letters[d:] + cw.letters[:d] == cw.letters
+    )
+    root = CyclicWord(cw.letters[:period])
+    is_power = root in primitives
+    return cw in primitives, is_power, root.to_word() if is_power else None
+
+
+def fields(verdict):
+    return verdict.is_primitive, verdict.is_primitive_power, verdict.power_root
+
+
+class TestOracleAgreement:
+    """The syllable descent against the Whitehead reference."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_every_class(self, primitives, n):
+        for letters in canonical_classes(n):
+            cw = CyclicWord(letters)
+            assert fields(is_primitive(cw)) == whitehead_reference(cw, primitives), str(cw)
+
+    def test_seeded_random_words(self, primitives):
+        rng = random.Random(DEFAULT_SEED)
+        for _ in range(10_000):
+            cw = CyclicWord(_random_letters(rng, 20))
+            conjugator = Word.from_letters(_random_letters(rng, 4))
+            linear = conjugator * cw.to_word() * conjugator.inverse()
+            expected = whitehead_reference(cw, primitives)
+            assert fields(is_primitive(cw)) == expected, str(cw)
+            assert fields(is_primitive(linear)) == expected, str(linear)
 
 
 @settings(max_examples=40)

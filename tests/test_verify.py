@@ -129,6 +129,15 @@ class TestChecks:
         assert reason.startswith("no bridge: ")
         assert "tree letters, more than 0" in reason
 
+    def test_empty_suites_fail(self):
+        # The smallest forest space is L(12, 5).
+        bridges = check_bridges(max_p=11)
+        assert not bridges.passed and bridges.checked == 0
+        assert bridges.counterexample is None
+        assert bridges.detail == "forest spaces with p <= 11, both window types"
+        soundness = check_obstruction_soundness(exhaustive_len=0, samples=0)
+        assert not soundness.passed and soundness.checked == 0
+
     def test_classification_small(self):
         result = check_classification(max_p=60)
         assert result.passed
@@ -164,7 +173,7 @@ class TestRunAll:
     def test_injected_failure_is_reported(self, monkeypatch):
         monkeypatch.setattr("goeritz.verify.oz_form_check", lambda cw: False)
         results = run_all(
-            max_p=8,
+            max_p=12,
             exhaustive_len=4,
             samples=50,
             random_len=8,
@@ -175,6 +184,7 @@ class TestRunAll:
         assert [r.name for r in failed] == ["oz-necessity"]
         assert failed[0].counterexample == {"word": "x"}
         assert failed[0].checked == 1
+        assert failed[0].detail == "primitive classes of length <= 6"
 
 
 class TestCheckResult:
