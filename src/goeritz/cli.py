@@ -9,6 +9,7 @@ newline-terminated document.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any
@@ -251,6 +252,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if passed else 1
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="goeritz",

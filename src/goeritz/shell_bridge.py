@@ -17,6 +17,7 @@ shallowest such vertex is one of the two Farey parents of r/(qbar - r)
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
@@ -28,6 +29,10 @@ from .words import Word
 # Longest tree word find_bridge builds; the corridor labels grow with its
 # square.  Every forest case with p <= 2000 fits (deepest: 497 letters).
 MAX_BRIDGE_LENGTH = 512
+
+# Largest p shell_words builds; the shell holds about 1.5 p^2 letters.  It
+# matches the p <= 2000 reach of the bridge bounds.
+MAX_SHELL_P = 2000
 
 
 class NotForestError(Exception):
@@ -56,20 +61,25 @@ def shell_words(p: int, qbar: int) -> Shell:
 
     E_k is x y^(g_1) .. x y^(g_k) where the g_i are the cyclic gaps of
     the sorted residues {0, qbar, .., (k-1) qbar mod p}; E_0 is y^p.
+    E_{k+1} comes from E_k by placing the residue r = k qbar mod p: r
+    splits one gap y^(b-a) into y^(r-a) x y^(b-r).  The syllables
+    alternate x with positive powers of y, so they are reduced as built.
     """
     if p < 2 or not 1 <= qbar < p or gcd(p, qbar) != 1:
         raise ValueError(f"shell requires coprime 1 <= qbar < p, got ({p},{qbar})")
-    words = [Word((("y", p),))]
-    for k in range(1, p + 1):
-        residues = sorted(i * qbar % p for i in range(k))
-        gaps = [
-            (residues[(i + 1) % k] - residues[i]) % p or p for i in range(k)
-        ]
-        pairs: list[tuple[str, int]] = []
-        for g in gaps:
-            pairs.append(("x", 1))
-            pairs.append(("y", g))
-        words.append(Word(tuple(pairs)))
+    if p > MAX_SHELL_P:
+        raise ValueError(f"shell p = {p} is above the bound {MAX_SHELL_P}")
+    residues = [0]
+    syllables: list[tuple[str, int]] = [("x", 1), ("y", p)]
+    words = [Word((("y", p),)), Word.from_reduced(tuple(syllables))]
+    for k in range(1, p):
+        r = k * qbar % p
+        j = bisect(residues, r)
+        a = residues[j - 1]
+        b = residues[j] if j < len(residues) else p
+        syllables[2 * j - 1 : 2 * j] = [("y", r - a), ("x", 1), ("y", b - r)]
+        residues.insert(j, r)
+        words.append(Word.from_reduced(tuple(syllables)))
     return Shell(p, qbar, tuple(words))
 
 

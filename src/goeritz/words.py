@@ -90,6 +90,14 @@ class Word:
         return cls(())
 
     @classmethod
+    def from_reduced(cls, syllables: tuple[tuple[str, int], ...]) -> "Word":
+        """Wrap syllables that are already freely reduced, unchecked: every
+        generator x or y, no zero exponent, no two neighbours on one generator."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "syllables", syllables)
+        return word
+
+    @classmethod
     def from_letters(cls, codes: Iterable[int]) -> "Word":
         return cls(tuple((letter_gen(c), letter_sign(c)) for c in codes))
 

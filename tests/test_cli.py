@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from goeritz.cli import main
+from goeritz.cli import _parser, main
 from goeritz.complexes import import_json
 
 
@@ -111,6 +111,15 @@ class TestShellCommand:
     def test_rejects_non_coprime(self, capsys):
         code, _, _ = run(capsys, "shell", "12", "4")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv", [("shell",), ("complex", "shell")], ids=["shell", "complex-shell"]
+    )
+    def test_above_size_bound_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "2001", "1")
+        assert code == 2
+        assert out == ""
+        assert "bound 2000" in err
 
 
 class TestPresentationCommand:
@@ -274,6 +283,25 @@ class TestTopLevel:
         code, _, err = run(capsys, "--format", "dot", "analyze", "12", "5")
         assert code == 2
         assert "dot" in err
+
+    def test_reused_parser_keeps_no_state(self, capsys):
+        sequence = [
+            ("--format", "json", "shell", "7", "3"),
+            ("shell", "7", "3"),
+            ("bogus",),
+            ("--quiet", "analyze", "23", "7"),
+            ("analyze", "23", "7"),
+        ]
+        reused = [run(capsys, *argv) for argv in sequence]
+        first_calls = []
+        for argv in sequence:
+            _parser.cache_clear()
+            first_calls.append(run(capsys, *argv))
+        assert reused == first_calls
+        assert [code for code, _, _ in reused] == [0, 0, 2, 0, 0]
+        assert reused[1][1].startswith("shell words for p = 7, qbar = 3\n")
+        assert reused[3][1] == ""
+        assert reused[4][1].startswith("L(23,7): forest\n")
 
     def test_quiet_suppresses_reports(self, capsys):
         code, out, _ = run(capsys, "--quiet", "bridge", "12", "5")

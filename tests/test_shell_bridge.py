@@ -12,6 +12,7 @@ from goeritz.lens import LensSpace, division_window, invariants, modular_partner
 from goeritz.primitivity import is_primitive
 from goeritz.shell_bridge import (
     MAX_BRIDGE_LENGTH,
+    MAX_SHELL_P,
     Bridge,
     NotForestError,
     PrincipalVertex,
@@ -32,6 +33,22 @@ def coprime_pairs(max_p: int) -> list[tuple[int, int]]:
         for qbar in range(1, p)
         if gcd(p, qbar) == 1
     ]
+
+
+def sorted_residue_shell(p: int, qbar: int) -> list[Word]:
+    """Reference build: sort the residues again and reduce every E_k."""
+    words = [Word((("y", p),))]
+    for k in range(1, p + 1):
+        residues = sorted(i * qbar % p for i in range(k))
+        gaps = [
+            (residues[(i + 1) % k] - residues[i]) % p or p for i in range(k)
+        ]
+        pairs: list[tuple[str, int]] = []
+        for g in gaps:
+            pairs.append(("x", 1))
+            pairs.append(("y", g))
+        words.append(Word(tuple(pairs)))
+    return words
 
 
 class TestShellWords:
@@ -59,6 +76,22 @@ class TestShellWords:
             shell_words(7, 0)
         with pytest.raises(ValueError):
             shell_words(7, 7)
+
+    def test_matches_sorted_residue_build(self):
+        for p, qbar in coprime_pairs(60) + [(200, 77), (301, 150), (500, 123)]:
+            words = shell_words(p, qbar).words
+            assert [w.syllables for w in words] == [
+                w.syllables for w in sorted_residue_shell(p, qbar)
+            ], (p, qbar)
+            for w in words:
+                assert Word(w.syllables) == w
+
+    def test_size_bound(self):
+        shell = shell_words(MAX_SHELL_P, 999)
+        assert len(shell.words) == MAX_SHELL_P + 1
+        assert shell.word(MAX_SHELL_P) == parse_word(f"(xy)^{MAX_SHELL_P}")
+        with pytest.raises(ValueError, match="bound"):
+            shell_words(MAX_SHELL_P + 1, 1)
 
     def test_primitive_indices_frozen(self):
         assert shell_words(7, 3).primitive_indices == {1, 2, 5, 6}
