@@ -26,7 +26,7 @@ from .complexes import (
     export_dot,
     export_json,
 )
-from .lens import LensSpace, division_window, lens_report
+from .lens import LensSpace, check_pair, division_window, lens_report
 from .presentations import (
     ConnectedCaseStub,
     abelianization,
@@ -175,6 +175,7 @@ def _build_complex(args: argparse.Namespace) -> SimplicialComplex2:
     if args.kind == "shell":
         return build_shell_complex(shell_words(args.p, args.qbar))
     if args.kind == "principal":
+        check_pair(args.p, args.qbar)
         window = division_window(args.p, args.qbar)
         if window is None:
             raise NotForestError(

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from .lens import Classification, LensSpace, invariants
 from .primitivity import is_primitive
 from .shell_bridge import (
+    MAX_CORRIDOR_SYLLABLES,
     Bridge,
     NotForestError,
     PrincipalVertex,
@@ -28,10 +29,6 @@ from .words import Word, parse_word
 MAX_PRINCIPAL_DEPTH = 12
 MAX_BALL_RADIUS = 4
 MAX_BALL_BRANCHING = 16
-# The corridor's words hold sum(2 m_exp + 2) syllables, the cost of
-# building, deciding and exporting them.  Every forest case with
-# p <= 2000 fits; the largest, L(2000, 999), holds 500,002.
-MAX_CORRIDOR_SYLLABLES = 500_002
 
 
 @dataclass(frozen=True)
@@ -171,6 +168,8 @@ def build_bridge_corridor(bridge: Bridge) -> SimplicialComplex2:
         "E_" + bridge.w: "D",
     }
     exponents = [(rename.get(label, label), *pair) for label, *pair in bridge.vertices]
+    # The words hold sum(2 m_exp + 2) syllables, the cost of building,
+    # deciding and exporting them.
     syllables = sum(2 * m_exp + 2 for _, m_exp, _ in exponents)
     if syllables > MAX_CORRIDOR_SYLLABLES:
         raise ValueError(

@@ -62,6 +62,12 @@ def modular_partner(p: int, qbar: int) -> int:
     return k if 2 * k <= p else p - k
 
 
+def check_pair(p: int, qbar: int) -> None:
+    """Raise ValueError unless p >= 2, 1 <= qbar < p and gcd(p, qbar) = 1."""
+    if p < 2 or not 1 <= qbar < p or gcd(p, qbar) != 1:
+        raise ValueError(f"need coprime 1 <= qbar < p, got ({p},{qbar})")
+
+
 def division_window(p: int, qbar: int) -> tuple[int, int] | None:
     """(m, r) from p = qbar * m + r when 2 <= r <= qbar - 2, else None."""
     m, r = divmod(p, qbar)

@@ -1,33 +1,47 @@
 """Sound but incomplete non-primitivity tests with certificates.
 
-Each rule matches a forbidden subword pattern of the cyclic word.  A
-returned certificate proves the word is not a positive power of a
-primitive element; None is always inconclusive.  Matching quantifies
-over the four sign relabelings of x and y, and each pattern family is
-closed under word reversal, so all checks are invariant under rotation
-and inversion.  The generator-role swap is quantified only by
-certify_nonprimitive.
+Each rule matches a forbidden subword pattern of the cyclic word under
+one of eight relabelings: an optional swap of the generator roles, then
+optional sign flips of x and y.  A returned certificate proves the word
+is not a positive power of a primitive element; None is always
+inconclusive.  Each pattern family is closed under word reversal, so
+the certifier is invariant under rotation and inversion.
+
+Two rules are tried, PP2 and then KEY1, each over all eight relabelings
+in turn:
+
+- PP2a: xy together with xy^-1, or y^-1x^-1 together with yx^-1.
+- PP2b: a span x y^n x together with a disjoint y^(n+2), or x^2 together
+  with y^2 (detail 0).
+- KEY1: xy together with yx^-1, or y^-1x^-1 together with xy^-1.
+
+Other patterns could never fire first after these, so none is tried.
+KEY1's other classical pairs are PP2a, with the same swap or the other
+one, or PP2b's x^2 with y^2.  KEY2's span x y^k x^-1 holds a KEY1 pair.
+KEY3's two x..x spans with y-exponent sums at least 2 apart match PP2
+under some relabeling with the same swap.  And a word that uses both
+generators and escapes PP2 and KEY1 under all eight relabelings has the
+Osborne-Zieschang shape: without x^2 beside y^2 one generator s occurs
+only in syllables s^(+-1); KEY1 leaves s one sign, PP2a leaves the other
+generator t one sign, and PP2b leaves t's exponents within one of each
+other.  No relabeling matches a word of that shape either, so a word is
+certified exactly when it uses both generators and fails oz_form_check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterator
+from itertools import groupby
+from typing import Any
 
-from .primitivity import oz_form_check
 from .words import CyclicWord, Word
-
-_ORIENTATIONS = ((False, False), (False, True), (True, False), (True, True))
 
 
 class Rule(str, Enum):
     PP2a = "PP2a"
     PP2b = "PP2b"
     KEY1 = "KEY1"
-    KEY2 = "KEY2"
-    KEY3 = "KEY3"
-    BLOCKDIFF = "BLOCKDIFF"
 
 
 @dataclass(frozen=True)
@@ -56,16 +70,16 @@ class Obstruction:
     detail: Any = None
 
     def to_json(self) -> dict[str, Any]:
-        detail = list(self.detail) if isinstance(self.detail, tuple) else self.detail
         return {
             "rule": self.rule.value,
             "witness": [list(part) for part in self.witness],
             "orientation": self.orientation.to_json(),
-            "detail": detail,
+            "detail": self.detail,
         }
 
 
 def _view(code: int, swap: bool, flip_x: bool, flip_y: bool) -> int:
+    """The pattern letter that input letter code reads as."""
     if swap:
         code ^= 2
     if flip_x and code >> 1 == 0:
@@ -75,36 +89,38 @@ def _view(code: int, swap: bool, flip_x: bool, flip_y: bool) -> int:
     return code
 
 
-def _oriented(letters: tuple[int, ...], swap: bool, fx: bool, fy: bool) -> tuple[int, ...]:
-    return tuple(_view(c, swap, fx, fy) for c in letters)
+def _relabeling(swap: bool, flip_x: bool, flip_y: bool) -> tuple[Orientation, tuple[int, ...]]:
+    """The orientation, and the input letter that each pattern letter
+    x, x^-1, y, y^-1 stands for under it."""
+    back = {_view(code, swap, flip_x, flip_y): code for code in range(4)}
+    return Orientation(flip_x, flip_y, swap), tuple(back[k] for k in range(4))
 
 
-def _runs(letters: tuple[int, ...]) -> list[tuple[int, int, int]]:
-    """Maximal constant-letter runs as (letter, start, length).
-
-    The canonical rotation never splits a run across the wrap except in
-    single-run words, so this linear scan is cyclically faithful.
-    """
-    runs: list[tuple[int, int, int]] = []
-    for i, c in enumerate(letters):
-        if runs and runs[-1][0] == c and runs[-1][1] + runs[-1][2] == i:
-            letter, start, length = runs.pop()
-            runs.append((letter, start, length + 1))
-        else:
-            runs.append((c, i, 1))
-    return runs
+_RELABELINGS = tuple(
+    _relabeling(swap, flip_x, flip_y)
+    for swap in (False, True)
+    for flip_x in (False, True)
+    for flip_y in (False, True)
+)
 
 
-def _adjacency_positions(v: tuple[int, ...]) -> dict[tuple[int, int], int]:
-    """First cyclic position of each two-letter factor."""
-    n = len(v)
-    first: dict[tuple[int, int], int] = {}
-    if n < 2:
-        return first
-    for i in range(n):
-        pair = (v[i], v[(i + 1) % n])
-        first.setdefault(pair, i)
-    return first
+class _Scan:
+    """What the rules read of a cyclic word: its runs, and the first
+    position of each two-generator factor.  The canonical rotation starts
+    a run, and cyclically adjacent runs use different generators, so
+    every two-generator factor sits at a run boundary and the wrap is the
+    last boundary."""
+
+    def __init__(self, letters: tuple[int, ...]):
+        n = len(letters)
+        bounds = [i for i in range(1, n) if letters[i] != letters[i - 1]]
+        starts = [0, *bounds] if n else []
+        ends = [i - 1 for i in bounds] + [n - 1]
+        codes = [letters[i] for i in starts]
+        self.n = n
+        self.runs = [(c, a, b - a + 1) for c, a, b in zip(codes, starts, ends)]
+        factors = zip(reversed(codes), reversed(codes[1:] + codes[:1]))
+        self.first = dict(zip(factors, reversed(ends))) if bounds else {}
 
 
 def _span(start: int, length: int, n: int) -> tuple[int, ...]:
@@ -115,171 +131,63 @@ def _pair(i: int, n: int) -> tuple[int, int]:
     return (i, (i + 1) % n)
 
 
-def _check_pp2(cyc: CyclicWord, swap: bool) -> Obstruction | None:
+def _pairs(
+    scan: _Scan, a: tuple[int, int], b: tuple[int, int]
+) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    """Witness of factors a and b when both occur, else None."""
+    first = scan.first
+    if a in first and b in first:
+        return (_pair(first[a], scan.n), _pair(first[b], scan.n))
+    return None
+
+
+def _pp2(scan: _Scan, orient: Orientation, letter: tuple[int, ...]) -> Obstruction | None:
     """Both of xy and xy^-1, or both of xy^n x and a disjoint y^(n+2)."""
-    letters = cyc.letters
-    n = len(letters)
-    runs = _runs(letters)
+    x, x_inv, y, y_inv = letter
+    n = scan.n
+    for a, b in (((x, y), (x, y_inv)), ((y_inv, x_inv), (y, x_inv))):
+        witness = _pairs(scan, a, b)
+        if witness is not None:
+            return Obstruction(Rule.PP2a, witness, orient)
+    runs = scan.runs
     m = len(runs)
-    for fx, fy in _ORIENTATIONS:
-        v = _oriented(letters, swap, fx, fy)
-        orient = Orientation(fx, fy, swap)
-        adj = _adjacency_positions(v)
-        for a, b in (((0, 2), (0, 3)), ((3, 1), (2, 1))):
-            if a in adj and b in adj:
-                return Obstruction(
-                    Rule.PP2a, (_pair(adj[a], n), _pair(adj[b], n)), orient
-                )
-        vruns = [(_view(c, swap, fx, fy), start, length) for c, start, length in runs]
-        for idx in range(m if m >= 2 else 0):
-            left = vruns[idx]
-            mid = vruns[(idx + 1) % m]
-            right = vruns[(idx + 2) % m]
-            if left[0] != 0 or mid[0] != 2 or right[0] != 0:
-                continue
-            if (idx + 2) % m == idx and left[2] < 2:
-                continue
-            gap = mid[2]
-            for big, start, length in vruns:
-                if big == 2 and start != mid[1] and length >= gap + 2:
-                    span = _span(left[1] + left[2] - 1, gap + 2, n)
-                    block = _span(start, gap + 2, n)
-                    return Obstruction(Rule.PP2b, (span, block), orient, gap)
-        doubles = [r for r in vruns if r[0] == 0 and r[2] >= 2]
-        blocks = [r for r in vruns if r[0] == 2 and r[2] >= 2]
-        if doubles and blocks:
-            span = _span(doubles[0][1], 2, n)
-            block = _span(blocks[0][1], 2, n)
-            return Obstruction(Rule.PP2b, (span, block), orient, 0)
+    y_runs = [(start, length) for code, start, length in runs if code == y]
+    for k, (code, start, length) in enumerate(runs):
+        mid, mid_start, gap = runs[(k + 1) % m]
+        if code != x or mid != y or runs[(k + 2) % m][0] != x:
+            continue
+        for big, big_length in y_runs:
+            if big != mid_start and big_length >= gap + 2:
+                span = (_span(start + length - 1, gap + 2, n), _span(big, gap + 2, n))
+                return Obstruction(Rule.PP2b, span, orient, gap)
+    double = next((start for code, start, length in runs if code == x and length >= 2), None)
+    block = next((start for start, length in y_runs if length >= 2), None)
+    if double is not None and block is not None:
+        return Obstruction(Rule.PP2b, (_span(double, 2, n), _span(block, 2, n)), orient, 0)
     return None
 
 
-_KEY1_CLAUSES: tuple[tuple[int, tuple[int, int], tuple[tuple[int, int], ...]], ...] = (
-    (1, (0, 2), ((0, 3), (2, 1))),
-    (1, (3, 1), ((2, 1), (0, 3))),
-    (2, (0, 2), ((1, 2), (3, 0))),
-    (2, (3, 1), ((3, 0), (1, 2))),
-    (3, (0, 0), ((2, 2),)),
-)
-
-
-def _check_key(cyc: CyclicWord, swap: bool) -> Obstruction | None:
-    """xy with an inverted variant nearby, or x^2 together with y^2."""
-    letters = cyc.letters
-    n = len(letters)
-    for fx, fy in _ORIENTATIONS:
-        adj = _adjacency_positions(_oriented(letters, swap, fx, fy))
-        for clause, anchor, partners in _KEY1_CLAUSES:
-            if anchor not in adj:
-                continue
-            for partner in partners:
-                if partner in adj:
-                    return Obstruction(
-                        Rule.KEY1,
-                        (_pair(adj[anchor], n), _pair(adj[partner], n)),
-                        Orientation(fx, fy, swap),
-                        clause,
-                    )
+def _key1(scan: _Scan, orient: Orientation, letter: tuple[int, ...]) -> Obstruction | None:
+    """xy with yx^-1, or y^-1x^-1 with xy^-1."""
+    x, x_inv, y, y_inv = letter
+    for a, b in (((x, y), (y, x_inv)), ((y_inv, x_inv), (x, y_inv))):
+        witness = _pairs(scan, a, b)
+        if witness is not None:
+            return Obstruction(Rule.KEY1, witness, orient, 1)
     return None
-
-
-def _check_key2(cyc: CyclicWord, swap: bool) -> Obstruction | None:
-    """A span x y^k x^-1; its exponent sum k is nonzero by reducedness."""
-    letters = cyc.letters
-    n = len(letters)
-    runs = _runs(letters)
-    m = len(runs)
-    if m < 3:
-        return None
-    for fx, fy in _ORIENTATIONS:
-        vruns = [(_view(c, swap, fx, fy), start, length) for c, start, length in runs]
-        for idx in range(m):
-            left = vruns[idx]
-            mid = vruns[(idx + 1) % m]
-            right = vruns[(idx + 2) % m]
-            if left[0] == 0 and mid[0] in (2, 3) and right[0] == 1:
-                total = mid[2] if mid[0] == 2 else -mid[2]
-                span = _span(left[1] + left[2] - 1, mid[2] + 2, n)
-                return Obstruction(
-                    Rule.KEY2, (span,), Orientation(fx, fy, swap), total
-                )
-    return None
-
-
-def _key3_spans(
-    vruns: list[tuple[int, int, int]], n: int
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    m = len(vruns)
-    for code, start, length in vruns:
-        if code == 0 and length >= 2:
-            yield 0, _span(start, 2, n)
-    for idx in range(m if m >= 2 else 0):
-        code, start, length = vruns[idx]
-        if code not in (2, 3):
-            continue
-        left = vruns[(idx - 1) % m]
-        right = vruns[(idx + 1) % m]
-        if left[0] != 0 or right[0] != 0:
-            continue
-        if (idx - 1) % m == (idx + 1) % m and left[2] < 2:
-            continue
-        total = length if code == 2 else -length
-        yield total, _span(left[1] + left[2] - 1, length + 2, n)
-
-
-def _check_key3(cyc: CyclicWord, swap: bool) -> Obstruction | None:
-    """Two x..x spans whose y-exponent sums differ by at least 2."""
-    letters = cyc.letters
-    n = len(letters)
-    runs = _runs(letters)
-    for fx, fy in _ORIENTATIONS:
-        vruns = [(_view(c, swap, fx, fy), start, length) for c, start, length in runs]
-        spans = list(_key3_spans(vruns, n))
-        if len(spans) < 2:
-            continue
-        low = min(spans, key=lambda s: s[0])
-        high = max(spans, key=lambda s: s[0])
-        if high[0] - low[0] >= 2:
-            return Obstruction(
-                Rule.KEY3,
-                (low[1], high[1]),
-                Orientation(fx, fy, swap),
-                (low[0], high[0]),
-            )
-    return None
-
-
-def check_pp2(w: CyclicWord | Word | str) -> Obstruction | None:
-    return _check_pp2(CyclicWord.of(w), swap=False)
-
-
-def check_key(w: CyclicWord | Word | str) -> Obstruction | None:
-    return _check_key(CyclicWord.of(w), swap=False)
-
-
-def check_key2(w: CyclicWord | Word | str) -> Obstruction | None:
-    return _check_key2(CyclicWord.of(w), swap=False)
-
-
-def check_key3(w: CyclicWord | Word | str) -> Obstruction | None:
-    return _check_key3(CyclicWord.of(w), swap=False)
 
 
 def certify_nonprimitive(w: CyclicWord | Word | str) -> Obstruction | None:
-    """First firing rule over all relabelings and both role swaps.
+    """First firing rule: PP2 over all eight relabelings, then KEY1.
 
     Some(obstruction) guarantees w is not a positive power of a
-    primitive element.  The final rule rejects words that fail the
-    Osborne-Zieschang shape; single-generator words are exempt there
-    because x^k is a primitive power yet fails the shape for k >= 2.
+    primitive element.  None holds exactly for single-generator words
+    and words with the Osborne-Zieschang shape (see the module docstring).
     """
-    cyc = CyclicWord.of(w)
-    for matcher in (_check_pp2, _check_key, _check_key2, _check_key3):
-        for swap in (False, True):
-            obstruction = matcher(cyc, swap)
+    scan = _Scan(CyclicWord.of(w).letters)
+    for rule in (_pp2, _key1):
+        for orient, letter in _RELABELINGS:
+            obstruction = rule(scan, orient, letter)
             if obstruction is not None:
                 return obstruction
-    generators = {code >> 1 for code in cyc.letters}
-    if len(generators) == 2 and not oz_form_check(cyc):
-        return Obstruction(Rule.BLOCKDIFF, (), Orientation())
     return None

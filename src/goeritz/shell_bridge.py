@@ -20,15 +20,20 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd
 
-from .lens import Classification, LensSpace, division_window, invariants
+from .lens import Classification, LensSpace, check_pair, division_window, invariants
 from .primitivity import is_primitive
 from .words import Word
 
 # Longest tree word find_bridge builds; the corridor labels grow with its
 # square.  Every forest case with p <= 2000 fits (deepest: 497 letters).
 MAX_BRIDGE_LENGTH = 512
+
+# Most syllables in the words of one bridge: its D-word alone in
+# find_bridge, and all its corridor's words in build_bridge_corridor.
+# Every forest case with p <= 2000 fits; the corridor of L(2000, 999)
+# holds the most, 500,002.
+MAX_CORRIDOR_SYLLABLES = 500_002
 
 # Largest p shell_words builds; the shell holds about 1.5 p^2 letters.  It
 # matches the p <= 2000 reach of the bridge bounds.
@@ -65,8 +70,7 @@ def shell_words(p: int, qbar: int) -> Shell:
     splits one gap y^(b-a) into y^(r-a) x y^(b-r).  The syllables
     alternate x with positive powers of y, so they are reduced as built.
     """
-    if p < 2 or not 1 <= qbar < p or gcd(p, qbar) != 1:
-        raise ValueError(f"shell requires coprime 1 <= qbar < p, got ({p},{qbar})")
+    check_pair(p, qbar)
     if p > MAX_SHELL_P:
         raise ValueError(f"shell p = {p} is above the bound {MAX_SHELL_P}")
     residues = [0]
@@ -186,8 +190,9 @@ def find_bridge(space: LensSpace, qbar: int) -> Bridge:
     With s = qbar - r, the candidates are the two solutions of
     i*r - j*s = +-1 with 1 <= i < s; they lie at different depths and
     every other solution lies below both, so the shallower one is the
-    unique minimal bridge.  A bridge longer than MAX_BRIDGE_LENGTH
-    raises ValueError before its word is built.
+    unique minimal bridge.  A bridge longer than MAX_BRIDGE_LENGTH, or
+    a D-word of more than MAX_CORRIDOR_SYLLABLES syllables, raises
+    ValueError before that word is built.
     """
     inv = invariants(space)
     if inv.classification is not Classification.Forest:
@@ -216,6 +221,11 @@ def find_bridge(space: LensSpace, qbar: int) -> Bridge:
     labels = ["E_m", "E_{m+1}"] + [triangle[2] for triangle in corridor[1:]]
     vertices = tuple((label, *pair) for label, pair in zip(labels, _walk(qbar, m, r, w)))
     _, m_exp, n_exp = vertices[-1]
+    if 2 * m_exp + 2 > MAX_CORRIDOR_SYLLABLES:
+        raise ValueError(
+            f"{space!r}: bridge D-word at qbar = {qbar} has {2 * m_exp + 2} syllables,"
+            f" more than {MAX_CORRIDOR_SYLLABLES}"
+        )
     return Bridge(
         lens=space,
         qbar=qbar,

@@ -9,7 +9,7 @@ of its letter sequence under the letter order x < x^-1 < y < y^-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 GENERATORS = ("x", "y")
 
@@ -267,16 +267,6 @@ class CyclicWord:
     def is_identity(self) -> bool:
         return not self.letters
 
-    @property
-    def syllables(self) -> tuple[tuple[str, int], ...]:
-        """Run-length syllables of the canonical rotation.
-
-        Cyclically adjacent runs always use distinct generators except for
-        single-syllable words, where the canonical rotation starts at the
-        run boundary anyway.
-        """
-        return Word.from_letters(self.letters).syllables
-
     def to_word(self) -> Word:
         """The canonical rotation as a linear word."""
         return Word.from_letters(self.letters)
@@ -286,10 +276,6 @@ class CyclicWord:
 
     def inverse(self) -> "CyclicWord":
         return CyclicWord(tuple(letter_inverse(c) for c in reversed(self.letters)))
-
-    def swap_generators(self) -> "CyclicWord":
-        """Image under the automorphism exchanging x and y."""
-        return CyclicWord(tuple(c ^ 2 for c in self.letters))
 
     def __str__(self) -> str:
         return format_word(self.to_word())

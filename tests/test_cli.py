@@ -57,6 +57,17 @@ class TestBridgeCommand:
         assert out == ""
         assert "more than 512" in err
 
+    def test_d_word_syllable_bound(self, capsys):
+        # The D-word of L(625002, 5) holds exactly 500,002 syllables;
+        # L(625007, 5) would hold 500,006.
+        code, out, _ = run(capsys, "--format", "json", "bridge", "625002", "5")
+        assert code == 0
+        assert json.loads(out)["dWord"].count("x") == 250_001
+        code, out, err = run(capsys, "bridge", "625007", "5")
+        assert code == 2
+        assert out == ""
+        assert "500006 syllables, more than 500002" in err
+
     def test_partner_window_accepted(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "bridge", "23", "10")
         assert code == 0
@@ -188,6 +199,13 @@ class TestComplexCommand:
         code, _, err = run(capsys, "complex", "principal", "7", "3")
         assert code == 1
         assert "window" in err
+
+    @pytest.mark.parametrize("p,qbar", [("12", "0"), ("5", "7"), ("12", "4")])
+    def test_principal_invalid_pair_exits_two(self, capsys, p, qbar):
+        code, out, err = run(capsys, "complex", "principal", p, qbar)
+        assert code == 2
+        assert out == ""
+        assert "need coprime 1 <= qbar < p" in err
 
     def test_tree_requires_forest(self, capsys):
         code, _, _ = run(capsys, "complex", "tree", "7", "3")

@@ -7,18 +7,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goeritz.obstructions import (
-    Obstruction,
-    Orientation,
-    Rule,
-    _view,
-    certify_nonprimitive,
-    check_key,
-    check_key2,
-    check_key3,
-    check_pp2,
-)
-from goeritz.primitivity import is_primitive_power
+from goeritz.obstructions import Obstruction, Rule, _view, certify_nonprimitive
+from goeritz.primitivity import is_primitive_power, oz_form_check
 from goeritz.verify import _random_letters, canonical_classes
 from goeritz.words import CyclicWord, Word
 
@@ -28,107 +18,136 @@ raw_pairs = st.lists(
 )
 words = st.builds(lambda ps: Word(tuple(ps)), raw_pairs)
 
+X, X_INV, Y, Y_INV = 0, 1, 2, 3
+
 
 def viewed(w: CyclicWord, ob: Obstruction, part: tuple[int, ...]) -> list[int]:
     o = ob.orientation
     return [_view(w.letters[p], o.swap, o.flip_x, o.flip_y) for p in part]
 
 
+def assert_reads_back(w: CyclicWord, ob: Obstruction) -> None:
+    """Each witness part, read under the orientation, spells the pattern."""
+    parts = [viewed(w, ob, part) for part in ob.witness]
+    if ob.rule is Rule.PP2a:
+        assert parts in ([[X, Y], [X, Y_INV]], [[Y_INV, X_INV], [Y, X_INV]])
+    elif ob.rule is Rule.KEY1:
+        assert ob.detail == 1
+        assert parts in ([[X, Y], [Y, X_INV]], [[Y_INV, X_INV], [X, Y_INV]])
+    else:
+        gap = ob.detail
+        span, block = ob.witness
+        expected = [X, X] if gap == 0 else [X] + [Y] * gap + [X]
+        assert parts == [expected, [Y] * (gap + 2)]
+        assert not set(span) & set(block)
+
+
+def certified(text: str, rule: Rule) -> tuple[CyclicWord, Obstruction]:
+    w = CyclicWord.of(text)
+    ob = certify_nonprimitive(w)
+    assert ob is not None and ob.rule is rule
+    assert_reads_back(w, ob)
+    return w, ob
+
+
 class TestPp2:
     def test_opposite_y_signs(self):
-        ob = check_pp2("xyxy^-1")
-        assert ob is not None and ob.rule is Rule.PP2a
+        certified("xyxy^-1", Rule.PP2a)
 
     def test_gap_with_long_run(self):
-        ob = check_pp2("xy^3xy^5")
-        assert ob is not None and ob.rule is Rule.PP2b
+        _, ob = certified("xy^3xy^5", Rule.PP2b)
         assert ob.detail == 3
 
     def test_shell_word_clean(self):
-        assert check_pp2("(xy^5)^4xy^4") is None
+        assert certify_nonprimitive("(xy^5)^4xy^4") is None
 
     def test_witness_reads_back(self):
-        w = CyclicWord.of("xy^3xy^5")
-        ob = check_pp2(w)
-        assert ob is not None
+        w, ob = certified("xy^3xy^5", Rule.PP2b)
         span, block = ob.witness
-        n = ob.detail
-        assert viewed(w, ob, span) == [0] + [2] * n + [0]
-        assert viewed(w, ob, block) == [2] * (n + 2)
-        assert not set(span) & set(block)
+        assert viewed(w, ob, span) == [X] + [Y] * 3 + [X]
+        assert viewed(w, ob, block) == [Y] * 5
 
     def test_double_x_short_run(self):
-        ob = check_pp2("x^2y^2")
-        assert ob is not None and ob.rule is Rule.PP2b and ob.detail == 0
+        _, ob = certified("x^2y^2", Rule.PP2b)
+        assert ob.detail == 0
 
 
 class TestKey:
     def test_squares(self):
-        ob = check_key("x^2y^2")
-        assert ob is not None and ob.rule is Rule.KEY1
-        assert ob.detail == 3
+        # x^2 with y^2 under any relabeling is PP2b with detail 0.
+        _, ob = certified("x^-2y^3", Rule.PP2b)
+        assert ob.detail == 0 and ob.orientation.flip_x
 
     def test_mixed_pair(self):
-        ob = check_key("xyxy^-1")
-        assert ob is not None and ob.rule is Rule.KEY1
+        _, ob = certified("xyx^-1y^-1", Rule.KEY1)
         assert ob.detail == 1
 
     def test_primitive_pair_clean(self):
-        assert check_key("xy") is None
+        assert certify_nonprimitive("xy") is None
 
     def test_witness_reads_back(self):
-        w = CyclicWord.of("x^2y^2")
-        ob = check_key(w)
-        assert ob is not None
+        w, ob = certified("xyx^-1y^-1", Rule.KEY1)
         first, second = ob.witness
-        assert viewed(w, ob, first) == [0, 0]
-        assert viewed(w, ob, second) == [2, 2]
+        assert viewed(w, ob, first) == [X, Y]
+        assert viewed(w, ob, second) == [Y, X_INV]
 
 
 class TestKey2:
+    """A span x y^k x^-1 holds a KEY1 pair."""
+
     def test_sign_change_span(self):
-        ob = check_key2("xy^2x^-1y^-1")
-        assert ob is not None and ob.rule is Rule.KEY2
-        assert ob.detail == 2
+        certified("xy^2x^-1y^-1", Rule.KEY1)
 
     def test_shell_word_clean(self):
-        assert check_key2("(xy^5)^4xy^4") is None
+        assert certify_nonprimitive("(yx^5)^4yx^4") is None
 
     def test_witness_reads_back(self):
-        w = CyclicWord.of("xy^2x^-1y^-1")
-        ob = check_key2(w)
-        assert ob is not None
-        (span,) = ob.witness
-        seq = viewed(w, ob, span)
-        assert seq[0] == 0 and seq[-1] == 1
-        interior = seq[1:-1]
-        assert all(c in (2, 3) for c in interior)
-        total = sum(1 if c == 2 else -1 for c in interior)
-        assert total == ob.detail and total != 0
+        w, ob = certified("xy^2x^-1y^-3", Rule.KEY1)
+        first, second = ob.witness
+        assert viewed(w, ob, first) == [X, Y]
+        assert viewed(w, ob, second) == [Y, X_INV]
 
 
 class TestKey3:
+    """Two x..x spans whose y-exponent sums differ by at least 2 match PP2."""
+
     def test_gap_three(self):
-        ob = check_key3("xyxy^4")
-        assert ob is not None and ob.rule is Rule.KEY3
-        assert ob.detail == (1, 4)
+        _, ob = certified("xyxy^4", Rule.PP2b)
+        assert ob.detail == 1
 
     def test_gap_one_clean(self):
-        assert check_key3("xy^3xy^4") is None
+        assert certify_nonprimitive("xy^3xy^4") is None
 
     def test_bridge_family_clean(self):
-        assert check_key3("xy^5xy^5xy^4") is None
+        assert certify_nonprimitive("xy^5xy^5xy^4") is None
 
     def test_witness_reads_back(self):
-        w = CyclicWord.of("xyxy^4")
-        ob = check_key3(w)
-        assert ob is not None
-        low, high = ob.witness
-        for part, total in zip((low, high), ob.detail):
-            seq = viewed(w, ob, part)
-            assert seq[0] == 0 and seq[-1] == 0
-            assert sum(1 if c == 2 else -1 for c in seq[1:-1]) == total
-        assert ob.detail[1] - ob.detail[0] >= 2
+        w, ob = certified("x^2y^-1x^2y^-3", Rule.PP2b)
+        assert ob.orientation.flip_y
+
+
+def test_witnesses_read_back():
+    """Every certificate up to length 10 spells its rule's pattern,
+    including those that match only with the generator roles swapped."""
+    swapped = 0
+    for n in range(11):
+        for letters in canonical_classes(n):
+            w = CyclicWord(letters)
+            ob = certify_nonprimitive(w)
+            if ob is not None:
+                assert_reads_back(w, ob)
+                swapped += ob.orientation.swap
+    assert swapped > 0
+
+
+def test_certified_iff_two_generators_without_shape():
+    rng = random.Random(20261019)
+    inputs = [c for n in range(13) for c in canonical_classes(n)]
+    inputs += [_random_letters(rng, 40) for _ in range(10_000)]
+    for letters in inputs:
+        w = CyclicWord(letters)
+        both = len({c >> 1 for c in w.letters}) == 2
+        assert (certify_nonprimitive(w) is not None) == (both and not oz_form_check(w)), w
 
 
 class TestCertify:
@@ -172,8 +191,7 @@ class TestCertify:
 def test_checks_inversion_invariant(w: Word):
     cyc = CyclicWord.of(w)
     inv = cyc.inverse()
-    for check in (check_pp2, check_key, check_key2, check_key3, certify_nonprimitive):
-        assert (check(cyc) is None) == (check(inv) is None)
+    assert (certify_nonprimitive(cyc) is None) == (certify_nonprimitive(inv) is None)
 
 
 @settings(max_examples=150)

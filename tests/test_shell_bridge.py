@@ -12,6 +12,7 @@ from goeritz.lens import LensSpace, division_window, invariants, modular_partner
 from goeritz.primitivity import is_primitive
 from goeritz.shell_bridge import (
     MAX_BRIDGE_LENGTH,
+    MAX_CORRIDOR_SYLLABLES,
     MAX_SHELL_P,
     Bridge,
     NotForestError,
@@ -275,6 +276,13 @@ class TestFindBridge:
         k += 1
         with pytest.raises(ValueError, match=f"more than {MAX_BRIDGE_LENGTH}"):
             find_bridge(LensSpace(4 * k + 4, 2 * k + 1), 2 * k + 1)
+
+    def test_d_word_syllable_bound(self):
+        # L(5k + 2, 5) has D = (xy^5)^(2k) xy^4: 4k + 2 syllables.
+        bridge = find_bridge(LensSpace(625_002, 5), 5)
+        assert len(bridge.d_word.syllables) == MAX_CORRIDOR_SYLLABLES == 500_002
+        with pytest.raises(ValueError, match=f"more than {MAX_CORRIDOR_SYLLABLES}"):
+            find_bridge(LensSpace(625_007, 5), 5)
 
     def test_corridor_adjacent_simplices_share_one_edge(self):
         for space, qbar in forest_windows(40):
