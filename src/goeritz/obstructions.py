@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import groupby
 from typing import Any
 
 from .words import CyclicWord, Word
@@ -127,23 +126,20 @@ def _span(start: int, length: int, n: int) -> tuple[int, ...]:
     return tuple((start + t) % n for t in range(length))
 
 
-def _pair(i: int, n: int) -> tuple[int, int]:
-    return (i, (i + 1) % n)
-
-
 def _pairs(
     scan: _Scan, a: tuple[int, int], b: tuple[int, int]
 ) -> tuple[tuple[int, int], tuple[int, int]] | None:
     """Witness of factors a and b when both occur, else None."""
-    first = scan.first
+    first, n = scan.first, scan.n
     if a in first and b in first:
-        return (_pair(first[a], scan.n), _pair(first[b], scan.n))
+        return ((first[a], (first[a] + 1) % n), (first[b], (first[b] + 1) % n))
     return None
 
 
-def _pp2(scan: _Scan, orient: Orientation, letter: tuple[int, ...]) -> Obstruction | None:
-    """Both of xy and xy^-1, or both of xy^n x and a disjoint y^(n+2)."""
-    x, x_inv, y, y_inv = letter
+def _pp2(scan: _Scan, orient: Orientation, letters: tuple[int, ...]) -> Obstruction | None:
+    """Both of xy and xy^-1, both of xy^n x and a disjoint y^(n+2), or
+    both of x^2 and y^2; letters are the input letters for x, x^-1, y, y^-1."""
+    x, x_inv, y, y_inv = letters
     n = scan.n
     for a, b in (((x, y), (x, y_inv)), ((y_inv, x_inv), (y, x_inv))):
         witness = _pairs(scan, a, b)
@@ -167,9 +163,9 @@ def _pp2(scan: _Scan, orient: Orientation, letter: tuple[int, ...]) -> Obstructi
     return None
 
 
-def _key1(scan: _Scan, orient: Orientation, letter: tuple[int, ...]) -> Obstruction | None:
+def _key1(scan: _Scan, orient: Orientation, letters: tuple[int, ...]) -> Obstruction | None:
     """xy with yx^-1, or y^-1x^-1 with xy^-1."""
-    x, x_inv, y, y_inv = letter
+    x, x_inv, y, y_inv = letters
     for a, b in (((x, y), (y, x_inv)), ((y_inv, x_inv), (x, y_inv))):
         witness = _pairs(scan, a, b)
         if witness is not None:
@@ -181,13 +177,14 @@ def certify_nonprimitive(w: CyclicWord | Word | str) -> Obstruction | None:
     """First firing rule: PP2 over all eight relabelings, then KEY1.
 
     Some(obstruction) guarantees w is not a positive power of a
-    primitive element.  None holds exactly for single-generator words
-    and words with the Osborne-Zieschang shape (see the module docstring).
+    primitive element.  None holds exactly for words that do not use
+    both generators and words with the Osborne-Zieschang shape (see the
+    module docstring).
     """
     scan = _Scan(CyclicWord.of(w).letters)
     for rule in (_pp2, _key1):
-        for orient, letter in _RELABELINGS:
-            obstruction = rule(scan, orient, letter)
+        for orient, letters in _RELABELINGS:
+            obstruction = rule(scan, orient, letters)
             if obstruction is not None:
                 return obstruction
     return None

@@ -10,15 +10,13 @@ from hypothesis import strategies as st
 from goeritz.obstructions import Obstruction, Rule, _view, certify_nonprimitive
 from goeritz.primitivity import is_primitive_power, oz_form_check
 from goeritz.verify import _random_letters, canonical_classes
-from goeritz.words import CyclicWord, Word
+from goeritz.words import X, X_INV, Y, Y_INV, CyclicWord, Word
 
 raw_pairs = st.lists(
     st.tuples(st.sampled_from("xy"), st.integers(min_value=-5, max_value=5)),
     max_size=7,
 )
 words = st.builds(lambda ps: Word(tuple(ps)), raw_pairs)
-
-X, X_INV, Y, Y_INV = 0, 1, 2, 3
 
 
 def viewed(w: CyclicWord, ob: Obstruction, part: tuple[int, ...]) -> list[int]:
