@@ -10,7 +10,9 @@ answer and leaves one letter per s-syllable.  Repeating this is the
 Euclidean algorithm on syllables (Osborne and Zieschang 1981; Cohen,
 Metzler and Zimmermann 1981): the class is primitive iff the descent ends
 at a single letter, and a primitive power iff it ends at a single
-syllable.  Each level at least halves the syllable count.
+syllable.  Each level at least halves the syllable count.  The labels
+of the reduction trace are formatted straight from (generator, exponent),
+without building a Word.
 
 Whitehead's four rank-2 moves, x -> xy, x -> xy^-1, y -> yx and
 y -> yx^-1, stay as the independent reference: enumerate_primitives
@@ -21,8 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
+from operator import itemgetter
 
-from .words import CyclicWord, Word, _least_rotation, parse_word
+from .words import CyclicWord, Word, _least_rotation, _syllable_text, parse_word
 
 MAX_ENUMERATION_LENGTH = 20
 
@@ -37,6 +40,7 @@ _MOVES: tuple[tuple[str, tuple[tuple[int, ...], ...]], ...] = (
 MOVE_IDS = tuple(name for name, _ in _MOVES)
 _MOVE_TABLE = dict(_MOVES)
 _OTHER = {"x": "y", "y": "x"}
+_exponent = itemgetter(1)
 
 
 def _reduce_letters(codes: list[int]) -> tuple[int, ...]:
@@ -78,7 +82,7 @@ def _cyclic_exponents(w: CyclicWord | Word | str) -> tuple[str, list[int]]:
         ]
     else:
         syllables = w.syllables
-    exps = [e for _, e in syllables]
+    exps = list(map(_exponent, syllables))
     lo, hi = 0, len(exps)
     # An odd count of alternating syllables starts and ends with the same generator.
     while hi - lo > 1 and (hi - lo) % 2:
@@ -150,9 +154,12 @@ def is_primitive(w: CyclicWord | Word | str) -> PrimitivityVerdict:
         off, s_exp, t, lo, hi = shape
         s_gen = first if off == 0 else _OTHER[first]
         t_gen = _OTHER[s_gen]
+        # n and n + step share the sign of t, so neither is 0 and each
+        # label is already reduced text.
         n, step = (lo, 1) if lo > 0 else (hi, -1)
-        a = Word(((s_gen, s_exp), (t_gen, n)))
-        trace.append((f"x->{a}, y->{a * Word(((t_gen, step),))}", len(t)))
+        s = _syllable_text(s_gen, s_exp)
+        a, b = _syllable_text(t_gen, n), _syllable_text(t_gen, n + step)
+        trace.append((f"x->{s}{a}, y->{s}{b}", len(t)))
         if lo == hi:
             first, exps = "x", [len(t)]
             continue

@@ -23,7 +23,7 @@ from functools import cached_property
 
 from .lens import Classification, LensSpace, check_pair, division_window, invariants
 from .primitivity import is_primitive
-from .words import Word
+from .words import Word, _syllable_text
 
 # Longest tree word find_bridge builds; the corridor labels grow with its
 # square.  Every forest case with p <= 2000 fits (deepest: 497 letters).
@@ -46,9 +46,16 @@ class NotForestError(Exception):
 
 @dataclass(frozen=True)
 class Shell:
+    """The words E_0 .. E_p of one shell, each with its text cached.
+
+    shapes[k] is the first level of the primitivity descent on E_k,
+    oz_form_check(E_k), read off the gaps as shell_words builds them.
+    """
+
     p: int
     qbar: int
     words: tuple[Word, ...]
+    shapes: tuple[bool, ...]
 
     e_word: Word = field(default=Word((("x", 1),)))
 
@@ -57,8 +64,14 @@ class Shell:
 
     @cached_property
     def primitive_indices(self) -> frozenset[int]:
-        """Indices k whose word E_k the primitivity oracle accepts."""
-        return frozenset(k for k, w in enumerate(self.words) if is_primitive(w).is_primitive)
+        """Indices k whose word E_k the primitivity oracle accepts.  A word
+        without the shape is rejected at the descent's first level, so
+        only the words with it are decided."""
+        return frozenset(
+            k
+            for k, (w, shape) in enumerate(zip(self.words, self.shapes))
+            if shape and is_primitive(w).is_primitive
+        )
 
 
 def shell_words(p: int, qbar: int) -> Shell:
@@ -68,23 +81,44 @@ def shell_words(p: int, qbar: int) -> Shell:
     the sorted residues {0, qbar, .., (k-1) qbar mod p}; E_0 is y^p.
     E_{k+1} comes from E_k by placing the residue r = k qbar mod p: r
     splits one gap y^(b-a) into y^(r-a) x y^(b-r).  The syllables
-    alternate x with positive powers of y, so they are reduced as built.
+    alternate x with positive powers of y, so they are reduced as built,
+    and their texts are spliced the same way.
+
+    With x the separator of exponent 1, E_k (k >= 1) has the
+    Osborne-Zieschang shape iff its gaps differ by at most 1, so the
+    shape is read off a count of each gap length; by the three-gap
+    theorem (Sos 1958) there are never more than three.  E_0 = y^p is a
+    proper power and has no shape.
     """
     check_pair(p, qbar)
     if p > MAX_SHELL_P:
         raise ValueError(f"shell p = {p} is above the bound {MAX_SHELL_P}")
     residues = [0]
+    gaps = {p: 1}
     syllables: list[tuple[str, int]] = [("x", 1), ("y", p)]
-    words = [Word((("y", p),)), Word.from_reduced(tuple(syllables))]
+    texts = ["x", _syllable_text("y", p)]
+    words = [
+        Word.from_reduced((("y", p),), texts[1]),
+        Word.from_reduced(tuple(syllables), "".join(texts)),
+    ]
+    shapes = [False, True]
     for k in range(1, p):
         r = k * qbar % p
         j = bisect(residues, r)
         a = residues[j - 1]
         b = residues[j] if j < len(residues) else p
         syllables[2 * j - 1 : 2 * j] = [("y", r - a), ("x", 1), ("y", b - r)]
+        texts[2 * j - 1 : 2 * j] = [_syllable_text("y", r - a), "x", _syllable_text("y", b - r)]
         residues.insert(j, r)
-        words.append(Word.from_reduced(tuple(syllables)))
-    return Shell(p, qbar, tuple(words))
+        if gaps[b - a] == 1:
+            del gaps[b - a]
+        else:
+            gaps[b - a] -= 1
+        gaps[r - a] = gaps.get(r - a, 0) + 1
+        gaps[b - r] = gaps.get(b - r, 0) + 1
+        words.append(Word.from_reduced(tuple(syllables), "".join(texts)))
+        shapes.append(max(gaps) - min(gaps) <= 1)
+    return Shell(p, qbar, tuple(words), tuple(shapes))
 
 
 def _mediant(a: tuple[int, int], b: tuple[int, int], qbar: int) -> tuple[int, int]:
@@ -246,6 +280,8 @@ def bridge_end_homology(bridge: Bridge) -> tuple[int, int]:
 
     The boundary of the base disk maps to +-1 and the far end to
     +-qbar in Z/p; they differ exactly when qbar is not +-1 mod p.
+    The bridge's words are never read: the result restates
+    (1, min(qbar, p - qbar)) and is not derived from the end words.
     """
     p = bridge.lens.p
 

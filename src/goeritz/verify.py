@@ -164,7 +164,8 @@ def _soundness_sweep(classes) -> tuple[int, dict | None]:
 
 def _soundness_exhaustive_chunk(args: tuple[int, tuple[int, ...]]):
     n, prefix = args
-    return _soundness_sweep(CyclicWord(letters) for letters in canonical_classes(n, prefix))
+    classes = canonical_classes(n, prefix)
+    return _soundness_sweep(CyclicWord.from_canonical(letters) for letters in classes)
 
 
 def _random_letters(rng: random.Random, max_len: int) -> tuple[int, ...]:

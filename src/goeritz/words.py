@@ -9,6 +9,7 @@ of its letter sequence under the letter order x < x^-1 < y < y^-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 GENERATORS = ("x", "y")
@@ -90,11 +91,16 @@ class Word:
         return cls(())
 
     @classmethod
-    def from_reduced(cls, syllables: tuple[tuple[str, int], ...]) -> "Word":
+    def from_reduced(
+        cls, syllables: tuple[tuple[str, int], ...], text: str | None = None
+    ) -> "Word":
         """Wrap syllables that are already freely reduced, unchecked: every
-        generator x or y, no zero exponent, no two neighbours on one generator."""
+        generator x or y, no zero exponent, no two neighbours on one generator.
+        text, when given, must be their format_word text; it is cached."""
         word = object.__new__(cls)
         object.__setattr__(word, "syllables", syllables)
+        if text is not None:
+            object.__setattr__(word, "text", text)
         return word
 
     @classmethod
@@ -131,8 +137,13 @@ class Word:
         e_y = sum(e for g, e in self.syllables if g == "y")
         return AbelianPair(e_x, e_y)
 
-    def __str__(self) -> str:
+    @cached_property
+    def text(self) -> str:
+        """The format_word text, computed once."""
         return format_word(self)
+
+    def __str__(self) -> str:
+        return self.text
 
 
 def reduce_word(pairs: Iterable[tuple[str, int]]) -> Word:
@@ -142,7 +153,13 @@ def reduce_word(pairs: Iterable[tuple[str, int]]) -> Word:
 
 def format_word(w: Word) -> str:
     """Canonical text: reduced syllables, exponent omitted when 1."""
-    return "".join(g if e == 1 else f"{g}^{e}" for g, e in w.syllables)
+    # The rule of _syllable_text, inlined: a list joins faster than a generator.
+    return "".join([g if e == 1 else f"{g}^{e}" for g, e in w.syllables])
+
+
+def _syllable_text(gen: str, exp: int) -> str:
+    """Text of one syllable gen^exp, exp != 0, as format_word writes it."""
+    return gen if exp == 1 else f"{gen}^{exp}"
 
 
 def parse_word(text: str) -> Word:
@@ -246,11 +263,20 @@ class CyclicWord:
 
     def __post_init__(self) -> None:
         letters = self.letters
-        for a, b in zip(letters, letters[1:] + letters[:1]):
-            if len(letters) > 1 and a == letter_inverse(b):
-                raise ValueError("letters are not cyclically reduced")
+        if len(letters) > 1:
+            for a, b in zip(letters, letters[1:] + letters[:1]):
+                if a == b ^ 1:
+                    raise ValueError("letters are not cyclically reduced")
         k = _least_rotation(letters)
         object.__setattr__(self, "letters", letters[k:] + letters[:k])
+
+    @classmethod
+    def from_canonical(cls, letters: tuple[int, ...]) -> "CyclicWord":
+        """Wrap letters that are already cyclically reduced and in least
+        rotation, unchecked, as verify.canonical_classes yields them."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "letters", letters)
+        return word
 
     @classmethod
     def of(cls, w: "Word | CyclicWord | str") -> "CyclicWord":

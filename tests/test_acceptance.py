@@ -81,7 +81,12 @@ def test_criterion_5_bridge_validity_sweep():
     result = check_bridges(max_p=60)
     depth = max(len(find_bridge(space, qbar).w) for space, qbar in forest_windows(60))
     ok = result.passed and depth <= 64
-    _report(5, ok, f"{result.checked} bridges, deepest w has {depth} letters")
+    _report(
+        5,
+        ok,
+        f"{result.checked} bridges, deepest w has {depth} letters; end classes restate"
+        " (1, min(qbar, p - qbar)), not derived from the words",
+    )
     assert result.counterexample is None
     assert result.passed
     assert depth <= 64

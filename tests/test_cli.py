@@ -2,11 +2,14 @@
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from goeritz.cli import _parser, main
 from goeritz.complexes import import_json
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -118,6 +121,19 @@ class TestShellCommand:
         doc = json.loads(out)
         assert doc["primitiveIndices"] == [1, 5, 7, 11]
         assert doc["words"][0] == {"label": "E_0", "word": "y^12", "primitive": False}
+
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (("shell", "12", "5"), "shell_words_l12_5.txt"),
+            (("--format", "json", "shell", "12", "5"), "shell_words_l12_5.json"),
+        ],
+        ids=["text", "json"],
+    )
+    def test_golden(self, capsys, argv, name):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == (GOLDEN / name).read_text()
 
     def test_rejects_non_coprime(self, capsys):
         code, _, _ = run(capsys, "shell", "12", "4")

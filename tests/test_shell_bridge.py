@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goeritz.lens import LensSpace, division_window, invariants, modular_partner
-from goeritz.primitivity import is_primitive
+from goeritz.primitivity import is_primitive, oz_form_check
 from goeritz.shell_bridge import (
     MAX_BRIDGE_LENGTH,
     MAX_CORRIDOR_SYLLABLES,
@@ -24,7 +24,7 @@ from goeritz.shell_bridge import (
     shell_words,
 )
 from goeritz.verify import forest_windows
-from goeritz.words import CyclicWord, Word, parse_word
+from goeritz.words import CyclicWord, Word, format_word, parse_word
 
 
 def coprime_pairs(max_p: int) -> list[tuple[int, int]]:
@@ -119,6 +119,39 @@ class TestShellWords:
             t = modular_partner(p, qbar)
             expected = {1, t, p - t, p - 1}
             assert shell_words(p, qbar).primitive_indices == expected
+
+
+# Every small shell, and two at the top of the size bound.
+INCREMENTAL_PAIRS = [(60, None), (2000, 777), (1999, 500)]
+
+
+def incremental_shells(max_p: int, qbar: int | None):
+    """The shells of one INCREMENTAL_PAIRS entry: one pair, or with qbar
+    None every coprime pair with p <= max_p."""
+    pairs = coprime_pairs(max_p) if qbar is None else [(max_p, qbar)]
+    return (shell_words(p, q) for p, q in pairs)
+
+
+@pytest.mark.parametrize("max_p,qbar", INCREMENTAL_PAIRS)
+class TestIncrementalShell:
+    """What shell_words builds beside the words matches what the words
+    themselves give when read from scratch."""
+
+    def test_text_matches_format_word(self, max_p, qbar):
+        for shell in incremental_shells(max_p, qbar):
+            for k, w in enumerate(shell.words):
+                assert str(w) == format_word(Word(w.syllables)), (shell.p, shell.qbar, k)
+
+    def test_shape_flags_match_oz_form_check(self, max_p, qbar):
+        for shell in incremental_shells(max_p, qbar):
+            assert len(shell.shapes) == shell.p + 1
+            for k, (w, shape) in enumerate(zip(shell.words, shell.shapes)):
+                assert shape == oz_form_check(w), (shell.p, shell.qbar, k)
+
+    def test_primitive_indices_match_oracle_on_every_word(self, max_p, qbar):
+        for shell in incremental_shells(max_p, qbar):
+            oracle = {k for k, w in enumerate(shell.words) if is_primitive(w).is_primitive}
+            assert shell.primitive_indices == oracle, (shell.p, shell.qbar)
 
 
 class TestPrincipalVertex:

@@ -14,6 +14,7 @@ from goeritz.words import (
     parse_word,
     reduce_word,
 )
+from goeritz.verify import canonical_classes
 
 raw_pairs = st.lists(
     st.tuples(st.sampled_from("xy"), st.integers(min_value=-6, max_value=6)),
@@ -106,6 +107,25 @@ class TestParse:
         assert parse_word(format_word(w)) == w
 
 
+class TestText:
+    def test_cached_text_is_format_word(self):
+        w = parse_word("x^-2yxy^3")
+        assert w.text == format_word(w) == str(w) == "x^-2yxy^3"
+
+    def test_from_reduced_keeps_given_text(self):
+        syllables = (("x", 1), ("y", 5), ("x", 1), ("y", -2))
+        w = Word.from_reduced(syllables, "xy^5xy^-2")
+        assert str(w) == format_word(Word(syllables))
+        # The cached text is not a field: equality and hashing ignore it.
+        assert w == Word(syllables) and hash(w) == hash(Word(syllables))
+        assert repr(w) == repr(Word(syllables))
+
+    @given(words())
+    def test_text_matches_format(self, w: Word):
+        assert str(w) == format_word(w)
+        assert str(Word.from_reduced(w.syllables)) == format_word(w)
+
+
 class TestCyclic:
     def test_conjugate_collapses(self):
         cyc, conj = cyclic_reduce(parse_word("xyx^-1"))
@@ -128,6 +148,22 @@ class TestCyclic:
     def test_rejects_unreduced_letters(self):
         with pytest.raises(ValueError):
             CyclicWord((0, 1))
+
+    @pytest.mark.parametrize("letters", [(3, 2), (1, 2, 0), (2, 0, 0, 3)])
+    def test_rejects_cancellation_inside_or_across_wrap(self, letters):
+        with pytest.raises(ValueError, match="not cyclically reduced"):
+            CyclicWord(letters)
+
+    @pytest.mark.parametrize("letters", [(), (1,), (3,), (0, 0), (1, 3)])
+    def test_accepts_short_reduced_letters(self, letters):
+        assert CyclicWord(letters).letters == letters
+
+    def test_from_canonical_matches_checked(self):
+        for n in range(1, 11):
+            for letters in canonical_classes(n):
+                cw = CyclicWord.from_canonical(letters)
+                assert cw == CyclicWord(letters)
+                assert hash(cw) == hash(CyclicWord(letters))
 
     def test_inverse(self):
         w = CyclicWord.of("xy^3xy^5")
