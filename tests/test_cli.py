@@ -345,3 +345,28 @@ class TestTopLevel:
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_formats_share_exit_codes(self, capsys, fmt):
         assert run(capsys, "--format", fmt, "bridge", "7", "3")[0] == 1
+
+
+class TestGoldens:
+    """Whole outputs of the presentation, bridge and principal-complex
+    commands, pinned byte for byte."""
+
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (("analyze", "23", "7"), "analyze_l23_7.txt"),
+            (("--format", "json", "analyze", "12", "5"), "analyze_l12_5.json"),
+            (("presentation", "23", "7", "--gap"), "presentation_l23_7.gap"),
+            (("--format", "json", "presentation", "12", "5"), "presentation_l12_5.json"),
+            (("--format", "json", "bridge", "23", "7"), "bridge_l23_7.json"),
+            (
+                ("--format", "json", "complex", "principal", "23", "7", "--depth", "4"),
+                "principal_l23_7_d4.json",
+            ),
+        ],
+        ids=lambda value: value if isinstance(value, str) else None,
+    )
+    def test_golden(self, capsys, argv, name):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / name).read_text()
