@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import product
 
 from .lens import Classification, LensSpace, invariants
 from .primitivity import is_primitive
@@ -19,10 +20,9 @@ from .shell_bridge import (
     NotForestError,
     PrincipalVertex,
     Shell,
-    base_pair,
+    _walk,
     bridge_report,
     find_bridge,
-    principal_vertex,
 )
 from .words import Word, parse_word
 
@@ -115,40 +115,31 @@ def build_shell_complex(shell: Shell) -> SimplicialComplex2:
 def build_principal_complex(
     p: int, qbar: int, m: int, r: int, depth: int
 ) -> SimplicialComplex2:
-    """Mediant tree of the base pair, as triangles, down to the given depth."""
+    """Mediant tree of the base pair, as triangles, down to the given depth:
+    the union of the walks along the 2^depth tree words w of that length,
+    each without its last vertex E_w."""
     if not 0 <= depth <= MAX_PRINCIPAL_DEPTH:
         raise ValueError(f"depth must be within 0..{MAX_PRINCIPAL_DEPTH}")
     if p != qbar * m + r:
         raise ValueError(f"inconsistent division: {p} != {qbar}*{m} + {r}")
-    left, right = base_pair(qbar, m, r)
-    vertices = [
-        Vertex("E", Word((("x", 1),))),
-        _pair_vertex("E_m", qbar, *left),
-        _pair_vertex("E_{m+1}", qbar, *right),
+    steps = {
+        step[0]: step
+        for w in product("LR", repeat=depth)
+        for step in _walk(qbar, m, r, "".join(w))[:-1]
+    }
+    vertices = [Vertex("E", Word((("x", 1),)))] + [
+        Vertex(label, PrincipalVertex(qbar, "", m_exp, n_exp).word(), None, m_exp, n_exp)
+        for label, _, _, m_exp, n_exp in steps.values()
     ]
-    triangles = [("E", "E_m", "E_{m+1}")]
-    frontier = [("", ("E_m", "E_{m+1}"))]
-    for _ in range(depth):
-        next_frontier = []
-        for w, labels in frontier:
-            v = principal_vertex(p, qbar, m, r, w)
-            label = "E_" + w
-            vertices.append(_pair_vertex(label, qbar, v.m_exp, v.n_exp))
-            triangles.append((labels[0], labels[1], label))
-            next_frontier.append((w + "L", (label, labels[1])))
-            next_frontier.append((w + "R", (labels[0], label)))
-        frontier = next_frontier
+    triangles = [
+        (left, right, label) for label, left, right, _, _ in steps.values() if left is not None
+    ]
     return SimplicialComplex2(
         tuple(vertices),
         tuple(_edges_of(triangles)),
         tuple(triangles),
         {"kind": "principal", "p": p, "qbar": qbar, "m": m, "r": r, "depth": depth},
     )
-
-
-def _pair_vertex(label: str, qbar: int, m_exp: int, n_exp: int) -> Vertex:
-    word = PrincipalVertex(qbar, "", m_exp, n_exp).word()
-    return Vertex(label, word, None, m_exp, n_exp)
 
 
 def build_bridge_corridor(bridge: Bridge) -> SimplicialComplex2:

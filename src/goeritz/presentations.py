@@ -2,15 +2,16 @@
 
 When the primitive disk complex is a forest, the Goeritz group acts on
 the tree of trees with one vertex orbit and one edge orbit, so it is an
-amalgam or an HNN extension of explicit stabilizers.  Presentations are
-stored both as a structure tree (cyclic factors combined by free and
-direct products, amalgams, HNN extensions) and as a flat generator and
-relator list; the two are kept consistent by construction.
+amalgam or an HNN extension of explicit stabilizers.  A presentation
+is given by its structure tree (cyclic factors combined by free and
+direct products, amalgams, HNN extensions); its flat generator and
+relator lists are derived from the tree, never stored beside it and
+checked against it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations, product
 from math import gcd
@@ -167,24 +168,18 @@ Structure = Union[Cyclic, FreeProductOfParts, DirectSum, AmalgamatedProduct, HNN
 
 @dataclass(frozen=True)
 class GroupPresentation:
-    generators: tuple[str, ...]
-    relators: tuple[Relator, ...]
+    """A presentation given by its structure tree.  generators and relators
+    are the tree's flattening, so every relator uses declared generators;
+    a tree that cannot be flattened raises ValueError."""
+
     structure: Structure
+    generators: tuple[str, ...] = field(init=False)
+    relators: tuple[Relator, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        gens, rels = self.structure.flatten()
-        if gens != self.generators or rels != self.relators:
-            raise ValueError("flat form disagrees with the structure tree")
-        named = set(self.generators)
-        for rel in self.relators:
-            used = {rel.gen} if isinstance(rel, Power) else {rel.a, rel.b}
-            if not used <= named:
-                raise ValueError(f"relator {rel.text()} uses undeclared generators")
-
-    @classmethod
-    def of(cls, structure: Structure) -> "GroupPresentation":
-        gens, rels = structure.flatten()
-        return cls(gens, rels, structure)
+        generators, relators = self.structure.flatten()
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relators", relators)
 
     def text(self) -> str:
         lines = ["generators: " + ", ".join(self.generators), "relators:"]
@@ -267,7 +262,7 @@ def stabilizer_presentation(kind: StabilizerKind) -> GroupPresentation:
     pair stabilizers keep only the central factor plus, when the pair
     can be swapped, the swap involution.
     """
-    return GroupPresentation.of(_STABILIZER_STRUCTURES[StabilizerKind(kind)])
+    return GroupPresentation(_STABILIZER_STRUCTURES[StabilizerKind(kind)])
 
 
 @dataclass(frozen=True)
@@ -303,7 +298,7 @@ def goeritz_presentation(space: LensSpace) -> GroupPresentation | ConnectedCaseS
             over=("alpha",),
             stable="upsilon",
         )
-    return GroupPresentation.of(structure)
+    return GroupPresentation(structure)
 
 
 @dataclass(frozen=True)
@@ -333,46 +328,20 @@ class AbelianGroup:
         return base if len(run) == 1 else f"({base})^{len(run)}"
 
 
-def _smith_invariant_factors(rows: list[list[int]], width: int) -> list[int]:
-    # Plain integer Smith reduction; matrices here are tiny.
-    mat = [row[:] for row in rows]
-    height = len(mat)
-    factors: list[int] = []
-    top = 0
-    left = 0
-    while top < height and left < width:
-        pivot = None
-        for i in range(top, height):
-            for j in range(left, width):
-                if mat[i][j] and (pivot is None or abs(mat[i][j]) < abs(mat[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        i, j = pivot
-        mat[top], mat[i] = mat[i], mat[top]
-        for row in mat:
-            row[left], row[j] = row[j], row[left]
-        dirty = False
-        for i in range(top + 1, height):
-            k = mat[i][left] // mat[top][left]
-            if k:
-                for j in range(left, width):
-                    mat[i][j] -= k * mat[top][j]
-            if mat[i][left]:
-                dirty = True
-        for j in range(left + 1, width):
-            k = mat[top][j] // mat[top][left]
-            if k:
-                for i in range(top, height):
-                    mat[i][j] -= k * mat[i][left]
-            if mat[top][j]:
-                dirty = True
-        if dirty:
-            continue
-        factors.append(abs(mat[top][left]))
-        top += 1
-        left += 1
-    # Enforce the divisibility chain.
+def abelianization(presentation: GroupPresentation) -> AbelianGroup:
+    """Abelianized group, read off the power exponents of each generator.
+
+    Every relator is a power g^n or a commutator.  A commutator
+    abelianizes to zero and g^n to n times g, so each row of the relation
+    matrix has at most one nonzero entry.  The relations on g then span
+    d Z, with d the gcd of g's power exponents: d = 0 gives a Z and
+    d > 1 a Z/d.  The finite factors merge into a divisibility chain.
+    """
+    exponents = dict.fromkeys(presentation.generators, 0)
+    for rel in presentation.relators:
+        if isinstance(rel, Power):
+            exponents[rel.gen] = gcd(exponents[rel.gen], rel.exponent)
+    factors = [d for d in exponents.values() if d > 1]
     changed = True
     while changed:
         changed = False
@@ -382,23 +351,8 @@ def _smith_invariant_factors(rows: list[list[int]], width: int) -> list[int]:
                 g = gcd(a, b)
                 factors[i], factors[i + 1] = g, a * b // g
                 changed = True
-    return factors
-
-
-def abelianization(presentation: GroupPresentation) -> AbelianGroup:
-    """Abelianized group, by Smith reduction of the relator matrix."""
-    gens = presentation.generators
-    index = {g: i for i, g in enumerate(gens)}
-    rows = []
-    for rel in presentation.relators:
-        row = [0] * len(gens)
-        if isinstance(rel, Power):
-            row[index[rel.gen]] = rel.exponent
-        rows.append(row)
-    factors = _smith_invariant_factors(rows, len(gens))
-    nonzero = [d for d in factors if d]
-    torsion = tuple(d for d in nonzero if d > 1)
-    return AbelianGroup(len(gens) - len(nonzero), torsion)
+    rank = sum(1 for d in exponents.values() if d == 0)
+    return AbelianGroup(rank, tuple(d for d in factors if d > 1))
 
 
 def heegaard_space_report(space: LensSpace | Sphere) -> dict:

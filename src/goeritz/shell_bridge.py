@@ -121,10 +121,6 @@ def shell_words(p: int, qbar: int) -> Shell:
     return Shell(p, qbar, tuple(words), tuple(shapes))
 
 
-def _mediant(a: tuple[int, int], b: tuple[int, int], qbar: int) -> tuple[int, int]:
-    return a[0] + b[0] + 1, a[1] + b[1] - qbar
-
-
 @dataclass(frozen=True)
 class PrincipalVertex:
     """Vertex E_w of the principal complex; word is (xy^qbar)^m_exp xy^n_exp."""
@@ -139,34 +135,39 @@ class PrincipalVertex:
         return Word(pairs)
 
 
-def base_pair(qbar: int, m: int, r: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Exponents of E_m and E_{m+1}, the two parents of the tree's root."""
-    return (m - 1, qbar + r), (m, r)
+def _walk(
+    qbar: int, m: int, r: int, w: str
+) -> list[tuple[str, str | None, str | None, int, int]]:
+    """(label, left parent, right parent, m_exp, n_exp) of E_m, E_{m+1},
+    then of E_v for every prefix v of w, ending with E_w.
 
-
-def _walk(qbar: int, m: int, r: int, w: str):
-    """Exponents of the base pair, then of E_v for every prefix v of w,
-    ending with E_w: one step of the mediant rule per letter."""
-    left, right = base_pair(qbar, m, r)
-    yield left
-    yield right
-    for letter in w:
-        mid = _mediant(left, right, qbar)
-        yield mid
+    E_m has no parents, and E_{m+1} closes the root triangle with E and
+    E_m.  Each E_v is the mediant of its parents a and b, with exponents
+    (m_a + m_b + 1, n_a + n_b - qbar); the next letter of w makes E_v the
+    right parent (R) or the left one (L).
+    """
+    left = ("E_m", None, None, m - 1, qbar + r)
+    right = ("E_{m+1}", "E", "E_m", m, r)
+    steps = [left, right]
+    for i in range(len(w) + 1):
+        m_exp, n_exp = left[3] + right[3] + 1, left[4] + right[4] - qbar
+        mid = ("E_" + w[:i], left[0], right[0], m_exp, n_exp)
+        steps.append(mid)
+        letter = w[i : i + 1]
         if letter == "R":
             right = mid
         elif letter == "L":
             left = mid
-        else:
+        elif letter:
             raise ValueError(f"tree word letter {letter!r} is not L or R")
-    yield _mediant(left, right, qbar)
+    return steps
 
 
 def principal_vertex(p: int, qbar: int, m: int, r: int, w: str = "") -> PrincipalVertex:
     """Walk the mediant tree along w (letters L/R) from the base pair."""
     if p != qbar * m + r:
         raise ValueError(f"inconsistent division: {p} != {qbar}*{m} + {r}")
-    *_, (m_exp, n_exp) = _walk(qbar, m, r, w)
+    *_, m_exp, n_exp = _walk(qbar, m, r, w)[-1]
     return PrincipalVertex(qbar, w, m_exp, n_exp)
 
 
@@ -187,18 +188,6 @@ class Bridge:
     corridor: tuple[tuple[str, str, str], ...]
     simplex_count: int
     vertices: tuple[tuple[str, int, int], ...]
-
-
-def _corridor(w: str) -> tuple[tuple[str, str, str], ...]:
-    triangles = [("E", "E_m", "E_{m+1}")]
-    pair = ("E_m", "E_{m+1}")
-    mid = "E_"
-    triangles.append((pair[0], pair[1], mid))
-    for i, letter in enumerate(w):
-        pair = (pair[0], mid) if letter == "R" else (mid, pair[1])
-        mid = "E_" + w[: i + 1]
-        triangles.append((pair[0], pair[1], mid))
-    return tuple(triangles)
 
 
 def _tree_runs(i: int, j: int) -> list[tuple[str, int]]:
@@ -232,7 +221,8 @@ def find_bridge(space: LensSpace, qbar: int) -> Bridge:
     if inv.classification is not Classification.Forest:
         raise NotForestError(f"{space!r} has a contractible primitive disk complex")
     if qbar not in (space.q, inv.q_prime):
-        raise ValueError(f"qbar must be {space.q} or {inv.q_prime}, got {qbar}")
+        admissible = " or ".join(dict.fromkeys(map(str, (space.q, inv.q_prime))))
+        raise ValueError(f"qbar must be {admissible}, got {qbar}")
     window = division_window(space.p, qbar)
     if window is None:
         raise NotForestError(f"{space!r}: division window for qbar={qbar} is empty")
@@ -251,10 +241,8 @@ def find_bridge(space: LensSpace, qbar: int) -> Bridge:
             f" more than {MAX_BRIDGE_LENGTH}"
         )
     w = "".join(letter * k for letter, k in runs)
-    corridor = _corridor(w)
-    labels = ["E_m", "E_{m+1}"] + [triangle[2] for triangle in corridor[1:]]
-    vertices = tuple((label, *pair) for label, pair in zip(labels, _walk(qbar, m, r, w)))
-    _, m_exp, n_exp = vertices[-1]
+    steps = _walk(qbar, m, r, w)
+    *_, m_exp, n_exp = steps[-1]
     if 2 * m_exp + 2 > MAX_CORRIDOR_SYLLABLES:
         raise ValueError(
             f"{space!r}: bridge D-word at qbar = {qbar} has {2 * m_exp + 2} syllables,"
@@ -269,9 +257,9 @@ def find_bridge(space: LensSpace, qbar: int) -> Bridge:
         m_exp=m_exp,
         n_exp=n_exp,
         d_word=PrincipalVertex(qbar, w, m_exp, n_exp).word(),
-        corridor=corridor,
+        corridor=tuple((left, right, label) for label, left, right, _, _ in steps[1:]),
         simplex_count=len(w) + 2,
-        vertices=vertices,
+        vertices=tuple((label, *exponents) for label, _, _, *exponents in steps),
     )
 
 

@@ -71,6 +71,14 @@ class TestBridgeCommand:
         assert out == ""
         assert "500006 syllables, more than 500002" in err
 
+    @pytest.mark.parametrize(
+        "p, qbar, message",
+        [("12", "7", "qbar must be 5, got 7"), ("23", "16", "qbar must be 7 or 10, got 16")],
+    )
+    def test_foreign_qbar_names_each_admissible_value_once(self, capsys, p, qbar, message):
+        code, out, err = run(capsys, "bridge", p, qbar)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_partner_window_accepted(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "bridge", "23", "10")
         assert code == 0
@@ -364,7 +372,6 @@ class TestGoldens:
                 "principal_l23_7_d4.json",
             ),
         ],
-        ids=lambda value: value if isinstance(value, str) else None,
     )
     def test_golden(self, capsys, argv, name):
         code, out, err = run(capsys, *argv)

@@ -103,6 +103,28 @@ class TestPrincipalComplex:
         assert len(c.vertices) == 3 + (1 << depth) - 1
         assert len(c.triangles) == 1 << depth
 
+    @pytest.mark.parametrize("depth", range(9))
+    @pytest.mark.parametrize("p, qbar, m, r", [(12, 5, 2, 2), (23, 7, 3, 2)])
+    def test_every_triangle_obeys_the_mediant_rule(self, p, qbar, m, r, depth):
+        # Below the root triangle {E, E_m, E_{m+1}}, the apex of a triangle
+        # is its vertex of largest m-exponent, since m_a + m_b + 1 exceeds
+        # both parents'; every tree vertex is the apex of exactly one.
+        c = build_principal_complex(p, qbar, m, r, depth)
+        assert len(c.triangles) == 1 << depth
+        assert ("E", "E_m", "E_{m+1}") in c.triangles
+        apexes = []
+        for triangle in c.triangles:
+            if "E" in triangle:
+                continue
+            apex, a, b = sorted(map(c.vertex, triangle), key=lambda v: -v.m_exp)
+            assert (apex.m_exp, apex.n_exp) == (
+                a.m_exp + b.m_exp + 1,
+                a.n_exp + b.n_exp - qbar,
+            )
+            apexes.append(apex.label)
+        labels = {v.label for v in c.vertices} - {"E", "E_m", "E_{m+1}"}
+        assert sorted(apexes) == sorted(labels)
+
     def test_depth_guard(self):
         with pytest.raises(ValueError):
             build_principal_complex(12, 5, 2, 2, 13)

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+from itertools import count
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from goeritz.lens import LensSpace, S3
 from goeritz.presentations import (
@@ -74,9 +77,26 @@ class TestFlatten:
         with pytest.raises(ValueError):
             HNN(Cyclic("a", 2), over=("a",), stable="a").flatten()
 
-    def test_presentation_invariant_enforced(self):
+    @pytest.mark.parametrize(
+        "pres",
+        [stabilizer_presentation(kind) for kind in StabilizerKind]
+        + [goeritz_presentation(LensSpace(12, 5)), goeritz_presentation(LensSpace(23, 7))],
+        ids=[kind.value for kind in StabilizerKind] + ["amalgam", "hnn"],
+    )
+    def test_flat_form_is_the_flattened_tree(self, pres):
+        assert (pres.generators, pres.relators) == pres.structure.flatten()
+
+    @pytest.mark.parametrize(
+        "structure",
+        [
+            FreeProductOfParts((Cyclic("a"), Cyclic("a", 2))),
+            HNN(Cyclic("a", 2), over=("a",), stable="a"),
+        ],
+        ids=["duplicate-free-factor", "clashing-stable-letter"],
+    )
+    def test_unflattenable_tree_rejected_at_construction(self, structure):
         with pytest.raises(ValueError):
-            GroupPresentation(("a",), (), Cyclic("a", 2))
+            GroupPresentation(structure)
 
 
 class TestStabilizers:
@@ -316,6 +336,68 @@ class TestPinnedRenderings:
         )
 
 
+@st.composite
+def cyclic_trees(draw, depth=3):
+    """Trees of Cyclic factors of order 1..12 or free, under every node kind.
+    Each amalgam shares one generator of its left side with a factor of
+    its right side, so a generator may carry two powers."""
+    names = (f"g{i}" for i in count())
+    orders = st.none() | st.integers(min_value=1, max_value=12)
+
+    def node(level):
+        kinds = ["cyclic"] + ["sum", "free", "amalgam", "hnn"] * (level > 0)
+        kind = draw(st.sampled_from(kinds))
+        if kind == "cyclic":
+            return Cyclic(next(names), draw(orders))
+        if kind in ("sum", "free"):
+            parts = tuple(node(level - 1) for _ in range(draw(st.integers(1, 3))))
+            return (DirectSum if kind == "sum" else FreeProductOfParts)(parts)
+        base = node(level - 1)
+        shared = draw(st.sampled_from(base.flatten()[0]))
+        if kind == "hnn":
+            return HNN(base, over=(shared,), stable=next(names))
+        join = draw(st.sampled_from([DirectSum, FreeProductOfParts]))
+        right = join((Cyclic(shared, draw(orders)), node(level - 1)))
+        return AmalgamatedProduct(base, right, over=(shared,))
+
+    return node(depth)
+
+
+def primary_decomposition(pres: GroupPresentation) -> AbelianGroup:
+    """Reference abelianization.  A generator with power exponents ns
+    spans Z/d, d the largest common divisor of ns found by trial, or Z
+    when it has none.  Each d splits into prime powers, and the i-th
+    largest invariant factor is the product of the i-th largest power of
+    every prime."""
+    exponents: dict[str, list[int]] = {g: [] for g in pres.generators}
+    for rel in pres.relators:
+        if isinstance(rel, Power):
+            exponents[rel.gen].append(rel.exponent)
+    by_prime: dict[int, list[int]] = {}
+    for ns in exponents.values():
+        if not ns:
+            continue
+        d = max(k for k in range(1, min(ns) + 1) if all(n % k == 0 for n in ns))
+        prime = 2
+        while d > 1:
+            power = 1
+            while d % prime == 0:
+                d //= prime
+                power *= prime
+            if power > 1:
+                by_prime.setdefault(prime, []).append(power)
+            prime += 1
+    ranked = [sorted(powers, reverse=True) for powers in by_prime.values()]
+    factors = []
+    for i in range(max(map(len, ranked), default=0)):
+        factor = 1
+        for powers in ranked:
+            factor *= powers[i] if i < len(powers) else 1
+        factors.append(factor)
+    rank = sum(1 for ns in exponents.values() if not ns)
+    return AbelianGroup(rank, tuple(reversed(factors)))
+
+
 class TestAbelianization:
     def test_goeritz_cases(self):
         one = abelianization(goeritz_presentation(LensSpace(12, 5)))
@@ -333,12 +415,23 @@ class TestAbelianization:
         assert vertex == AbelianGroup(1, (2, 2))
 
     def test_torsion_chain_normalization(self):
-        pres = GroupPresentation.of(
-            DirectSum((Cyclic("a", 2), Cyclic("b", 3), Cyclic("c", 4)))
-        )
+        pres = GroupPresentation(DirectSum((Cyclic("a", 2), Cyclic("b", 3), Cyclic("c", 4))))
         group = abelianization(pres)
         assert group.rank == 0
         assert group.torsion == (2, 12)
+
+    def test_two_powers_on_one_generator(self):
+        pres = GroupPresentation(
+            AmalgamatedProduct(Cyclic("a", 4), Cyclic("a", 6), over=("a",))
+        )
+        assert pres.relators == (Power("a", 4), Power("a", 6))
+        assert abelianization(pres) == AbelianGroup(0, (2,))
+        assert str(abelianization(pres)) == "Z/2"
+
+    @given(st.data())
+    def test_matches_primary_decomposition(self, data):
+        pres = GroupPresentation(data.draw(cyclic_trees()))
+        assert abelianization(pres) == primary_decomposition(pres)
 
     def test_str_forms(self):
         assert str(AbelianGroup(0, ())) == "0"

@@ -253,6 +253,11 @@ class TestFindBridge:
     def test_rejects_foreign_qbar(self):
         with pytest.raises(ValueError):
             find_bridge(LensSpace(12, 5), 3)
+        # q = q' names its one admissible value once.
+        with pytest.raises(ValueError, match="^qbar must be 5, got 7$"):
+            find_bridge(LensSpace(12, 5), 7)
+        with pytest.raises(ValueError, match="^qbar must be 7 or 10, got 3$"):
+            find_bridge(LensSpace(23, 7), 3)
 
     def test_l404_201_deep_walk(self):
         # L(404, 201) genuinely needs a deep walk.
@@ -316,6 +321,16 @@ class TestFindBridge:
         assert len(bridge.d_word.syllables) == MAX_CORRIDOR_SYLLABLES == 500_002
         with pytest.raises(ValueError, match=f"more than {MAX_CORRIDOR_SYLLABLES}"):
             find_bridge(LensSpace(625_007, 5), 5)
+
+    def test_corridor_triangles_obey_the_mediant_rule(self):
+        for space, qbar in forest_windows(200):
+            bridge = find_bridge(space, qbar)
+            exponents = {label: (m_exp, n_exp) for label, m_exp, n_exp in bridge.vertices}
+            assert len(exponents) == len(bridge.vertices) == len(bridge.corridor) + 1
+            for a, b, apex in bridge.corridor[1:]:
+                (m_a, n_a), (m_b, n_b) = exponents[a], exponents[b]
+                assert exponents[apex] == (m_a + m_b + 1, n_a + n_b - qbar), (space, apex)
+            assert (bridge.m_exp, bridge.n_exp) == bridge.vertices[-1][1:]
 
     def test_corridor_adjacent_simplices_share_one_edge(self):
         for space, qbar in forest_windows(40):
