@@ -58,6 +58,7 @@ from .shell_bridge import (
     find_bridge,
     principal_vertex,
     shell_words,
+    vertex_word,
 )
 from .verify import CheckResult, run_all
 from .words import (
@@ -126,4 +127,5 @@ __all__ = [
     "run_all",
     "shell_words",
     "stabilizer_presentation",
+    "vertex_word",
 ]

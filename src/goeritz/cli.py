@@ -26,12 +26,12 @@ from .complexes import (
     export_dot,
     export_json,
 )
-from .lens import LensSpace, check_pair, division_window, lens_report
+from .lens import LensSpace, lens_report
 from .presentations import (
     ConnectedCaseStub,
+    _heegaard_report,
     abelianization,
     goeritz_presentation,
-    heegaard_space_report,
 )
 from .shell_bridge import NotForestError, bridge_report, find_bridge, shell_words
 from .verify import DEFAULT_SEED, run_all
@@ -58,14 +58,14 @@ def _say(args: argparse.Namespace, text: str) -> None:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     space = _space(args.p, args.q)
-    report = heegaard_space_report(space)
+    pres = goeritz_presentation(space)
+    report = _heegaard_report(space, pres)
     doc = dict(lens_report(space))
     doc["goeritz"] = report["quotient"]
     doc["goeritzNote"] = report["quotientNote"]
     doc["sequence"] = report["sequence"]
     doc["kernel"] = report["kernel"]
     doc["conclusion"] = report["conclusion"]
-    pres = goeritz_presentation(space)
     if not isinstance(pres, ConnectedCaseStub):
         doc["abelianization"] = str(abelianization(pres))
 
@@ -175,15 +175,7 @@ def _build_complex(args: argparse.Namespace) -> SimplicialComplex2:
     if args.kind == "shell":
         return build_shell_complex(shell_words(args.p, args.qbar))
     if args.kind == "principal":
-        check_pair(args.p, args.qbar)
-        window = division_window(args.p, args.qbar)
-        if window is None:
-            raise NotForestError(
-                f"no division window at qbar = {args.qbar}; principal tree undefined"
-            )
-        return build_principal_complex(
-            args.p, args.qbar, window[0], window[1], args.depth
-        )
+        return build_principal_complex(args.p, args.qbar, args.depth)
     if args.kind == "bridge":
         space = _space(args.p, args.qbar)
         return build_bridge_corridor(find_bridge(space, args.qbar))
@@ -217,9 +209,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         max_p=args.max_p,
         exhaustive_len=args.max_len,
         samples=args.samples,
-        random_len=min(20, args.max_len + 6),
-        oz_len=min(16, args.max_len + 2),
-        classification_p=max(200, args.max_p),
         seed=args.seed,
         workers=args.jobs,
     )

@@ -15,14 +15,16 @@ from itertools import product
 from .lens import Classification, LensSpace, invariants
 from .primitivity import is_primitive
 from .shell_bridge import (
+    E_WORD,
     MAX_CORRIDOR_SYLLABLES,
     Bridge,
     NotForestError,
-    PrincipalVertex,
     Shell,
+    _division,
     _walk,
     bridge_report,
     find_bridge,
+    vertex_word,
 )
 from .words import Word, parse_word
 
@@ -100,7 +102,7 @@ def _edges_of(triangles) -> set[tuple[str, str]]:
 
 def build_shell_complex(shell: Shell) -> SimplicialComplex2:
     """Fan of p triangles {E, E_i, E_i+1} around the center disk E."""
-    vertices = [Vertex("E", shell.e_word, True)]
+    vertices = [Vertex("E", E_WORD, True)]
     for k, word in enumerate(shell.words):
         vertices.append(Vertex(f"E_{k}", word, k in shell.primitive_indices))
     triangles = [("E", f"E_{i}", f"E_{i + 1}") for i in range(shell.p)]
@@ -112,28 +114,27 @@ def build_shell_complex(shell: Shell) -> SimplicialComplex2:
     )
 
 
-def build_principal_complex(
-    p: int, qbar: int, m: int, r: int, depth: int
-) -> SimplicialComplex2:
-    """Mediant tree of the base pair, as triangles, down to the given depth:
-    the union of the walks along the 2^depth tree words w of that length,
-    each without its last vertex E_w."""
+def build_principal_complex(p: int, qbar: int, depth: int) -> SimplicialComplex2:
+    """Mediant tree of (p, qbar), as triangles, down to the given depth.
+
+    The base pair is (m, r) = divmod(p, qbar); a bad pair raises
+    ValueError and a pair without a division window NotForestError.  The
+    tree is the union of the walks along the 2^depth tree words w of that
+    length, each without its last vertex E_w.
+    """
+    m, r = _division(p, qbar)
     if not 0 <= depth <= MAX_PRINCIPAL_DEPTH:
         raise ValueError(f"depth must be within 0..{MAX_PRINCIPAL_DEPTH}")
-    if p != qbar * m + r:
-        raise ValueError(f"inconsistent division: {p} != {qbar}*{m} + {r}")
-    steps = {
-        step[0]: step
+    tree = {
+        v.label: v
         for w in product("LR", repeat=depth)
-        for step in _walk(qbar, m, r, "".join(w))[:-1]
+        for v in _walk(qbar, m, r, "".join(w))[:-1]
     }
-    vertices = [Vertex("E", Word((("x", 1),)))] + [
-        Vertex(label, PrincipalVertex(qbar, "", m_exp, n_exp).word(), None, m_exp, n_exp)
-        for label, _, _, m_exp, n_exp in steps.values()
+    vertices = [Vertex("E", E_WORD)] + [
+        Vertex(v.label, vertex_word(qbar, v.m_exp, v.n_exp), None, v.m_exp, v.n_exp)
+        for v in tree.values()
     ]
-    triangles = [
-        (left, right, label) for label, left, right, _, _ in steps.values() if left is not None
-    ]
+    triangles = [(v.left, v.right, v.label) for v in tree.values() if v.left is not None]
     return SimplicialComplex2(
         tuple(vertices),
         tuple(_edges_of(triangles)),
@@ -158,20 +159,22 @@ def build_bridge_corridor(bridge: Bridge) -> SimplicialComplex2:
         "E_{m+1}": f"E_{m + 1}",
         "E_" + bridge.w: "D",
     }
-    exponents = [(rename.get(label, label), *pair) for label, *pair in bridge.vertices]
     # The words hold sum(2 m_exp + 2) syllables, the cost of building,
     # deciding and exporting them.
-    syllables = sum(2 * m_exp + 2 for _, m_exp, _ in exponents)
+    syllables = sum(2 * v.m_exp + 2 for v in bridge.walk)
     if syllables > MAX_CORRIDOR_SYLLABLES:
         raise ValueError(
             f"{bridge.lens!r}: bridge corridor words hold {syllables} syllables,"
             f" more than {MAX_CORRIDOR_SYLLABLES}"
         )
-    vertices = [Vertex("E", Word((("x", 1),)), True)]
-    vertices.extend(_oracle_vertex(label, qbar, *pair) for label, *pair in exponents)
+    vertices = [Vertex("E", E_WORD, True)]
+    for v in bridge.walk:
+        word = vertex_word(qbar, v.m_exp, v.n_exp)
+        primitive = is_primitive(word).is_primitive
+        vertices.append(Vertex(rename.get(v.label, v.label), word, primitive, v.m_exp, v.n_exp))
     triangles = [
-        tuple(rename.get(label, label) for label in triangle)
-        for triangle in bridge.corridor
+        tuple(rename.get(label, label) for label in (v.left, v.right, v.label))
+        for v in bridge.walk[1:]
     ]
     return SimplicialComplex2(
         tuple(vertices),
@@ -186,11 +189,6 @@ def build_bridge_corridor(bridge: Bridge) -> SimplicialComplex2:
             "simplexCount": bridge.simplex_count,
         },
     )
-
-
-def _oracle_vertex(label: str, qbar: int, m_exp: int, n_exp: int) -> Vertex:
-    word = PrincipalVertex(qbar, "", m_exp, n_exp).word()
-    return Vertex(label, word, is_primitive(word).is_primitive, m_exp, n_exp)
 
 
 def build_tree_of_trees_ball(

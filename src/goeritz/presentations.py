@@ -66,16 +66,20 @@ class Cyclic:
         return {"kind": "cyclic", "gen": self.gen, "order": self.order}
 
 
+def _free_join(flat: list[Flat]) -> Flat:
+    """Generators and relators of the free product of flattened parts."""
+    gens = [g for part_gens, _ in flat for g in part_gens]
+    if len(set(gens)) != len(gens):
+        raise ValueError(f"duplicate generators across free factors: {gens}")
+    return tuple(gens), tuple(r for _, part_rels in flat for r in part_rels)
+
+
 @dataclass(frozen=True)
 class FreeProductOfParts:
     parts: tuple["Structure", ...]
 
     def flatten(self) -> Flat:
-        flat = [part.flatten() for part in self.parts]
-        gens = [g for part_gens, _ in flat for g in part_gens]
-        if len(set(gens)) != len(gens):
-            raise ValueError(f"duplicate generators across free factors: {gens}")
-        return tuple(gens), tuple(r for _, part_rels in flat for r in part_rels)
+        return _free_join([part.flatten() for part in self.parts])
 
     def text(self) -> str:
         return "(" + " * ".join(part.text() for part in self.parts) + ")"
@@ -91,8 +95,9 @@ class DirectSum:
     def flatten(self) -> Flat:
         """The free product of the parts plus a commutator between every
         two generators of different parts."""
-        gens, rels = FreeProductOfParts(self.parts).flatten()
-        pairs = combinations([part.flatten()[0] for part in self.parts], 2)
+        flat = [part.flatten() for part in self.parts]
+        gens, rels = _free_join(flat)
+        pairs = combinations([part_gens for part_gens, _ in flat], 2)
         cross = tuple(Commutator(a, b) for left, right in pairs for a, b in product(left, right))
         return gens, rels + cross
 
@@ -269,8 +274,11 @@ def stabilizer_presentation(kind: StabilizerKind) -> GroupPresentation:
 class ConnectedCaseStub:
     """Marker for spaces whose primitive disk complex is connected."""
 
-    space: LensSpace
+    space: LensSpace | Sphere
     reason: str
+
+
+_CONNECTED = "primitive disk complex is connected; covered by earlier work"
 
 
 def goeritz_presentation(space: LensSpace) -> GroupPresentation | ConnectedCaseStub:
@@ -283,9 +291,7 @@ def goeritz_presentation(space: LensSpace) -> GroupPresentation | ConnectedCaseS
     """
     inv = invariants(space)
     if inv.classification is Classification.Contractible:
-        return ConnectedCaseStub(
-            space, "primitive disk complex is connected; covered by earlier work"
-        )
+        return ConnectedCaseStub(space, _CONNECTED)
     if inv.q_squared_is_one:
         structure: Structure = AmalgamatedProduct(
             _STABILIZER_STRUCTURES[StabilizerKind.TTVertex_qSq1],
@@ -362,22 +368,22 @@ def heegaard_space_report(space: LensSpace | Sphere) -> dict:
     group of the diffeomorphism group, so it is finitely presented
     whenever the quotient is.
     """
-    diff = pi1_diff(space)
     if isinstance(space, Sphere):
-        label = "S^3"
-        quotient: dict = {
-            "kind": "stub",
-            "reason": "primitive disk complex is connected; covered by earlier work",
-        }
+        return _heegaard_report(space, ConnectedCaseStub(space, _CONNECTED))
+    return _heegaard_report(space, goeritz_presentation(space))
+
+
+def _heegaard_report(
+    space: LensSpace | Sphere, result: GroupPresentation | ConnectedCaseStub
+) -> dict:
+    """heegaard_space_report of space, given its Goeritz presentation or stub."""
+    diff = pi1_diff(space)
+    if isinstance(result, ConnectedCaseStub):
+        quotient = {"kind": "stub", "reason": result.reason}
     else:
-        label = repr(space)
-        result = goeritz_presentation(space)
-        if isinstance(result, ConnectedCaseStub):
-            quotient = {"kind": "stub", "reason": result.reason}
-        else:
-            quotient = {"kind": "presentation", **result.to_json()}
+        quotient = {"kind": "presentation", **result.to_json()}
     return {
-        "space": label,
+        "space": repr(space),
         "sequence": "1 -> pi1(Diff) -> pi1(H) -> G -> 1",
         "kernel": diff.descriptor,
         "quotient": quotient,

@@ -18,8 +18,9 @@ shallowest such vertex is one of the two Farey parents of r/(qbar - r)
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .lens import Classification, LensSpace, check_pair, division_window, invariants
 from .primitivity import is_primitive
@@ -39,6 +40,9 @@ MAX_CORRIDOR_SYLLABLES = 500_002
 # matches the p <= 2000 reach of the bridge bounds.
 MAX_SHELL_P = 2000
 
+# The boundary word of the center disk E.
+E_WORD = Word((("x", 1),))
+
 
 class NotForestError(Exception):
     """The primitive disk complex is contractible, so no bridge exists."""
@@ -56,8 +60,6 @@ class Shell:
     qbar: int
     words: tuple[Word, ...]
     shapes: tuple[bool, ...]
-
-    e_word: Word = field(default=Word((("x", 1),)))
 
     def word(self, k: int) -> Word:
         return self.words[k]
@@ -121,37 +123,49 @@ def shell_words(p: int, qbar: int) -> Shell:
     return Shell(p, qbar, tuple(words), tuple(shapes))
 
 
-@dataclass(frozen=True)
-class PrincipalVertex:
-    """Vertex E_w of the principal complex; word is (xy^qbar)^m_exp xy^n_exp."""
+class PrincipalVertex(NamedTuple):
+    """Vertex E_v of the mediant tree: its label, the labels of its left
+    and right parents (None for E_m, which has none), and the exponents
+    of its word (xy^qbar)^m_exp xy^n_exp."""
 
-    qbar: int
-    w: str
+    label: str
+    left: str | None
+    right: str | None
     m_exp: int
     n_exp: int
 
-    def word(self) -> Word:
-        pairs = (("x", 1), ("y", self.qbar)) * self.m_exp + (("x", 1), ("y", self.n_exp))
-        return Word(pairs)
+
+def vertex_word(qbar: int, m_exp: int, n_exp: int) -> Word:
+    """(xy^qbar)^m_exp xy^n_exp, without y^0.  The syllables alternate x
+    with a nonzero power of y, so they are already reduced."""
+    last = (("x", 1), ("y", n_exp)) if n_exp else (("x", 1),)
+    return Word.from_reduced((("x", 1), ("y", qbar)) * m_exp + last)
 
 
-def _walk(
-    qbar: int, m: int, r: int, w: str
-) -> list[tuple[str, str | None, str | None, int, int]]:
-    """(label, left parent, right parent, m_exp, n_exp) of E_m, E_{m+1},
-    then of E_v for every prefix v of w, ending with E_w.
+def _division(p: int, qbar: int) -> tuple[int, int]:
+    """(m, r) = divmod(p, qbar), the principal tree's base pair; check_pair's
+    ValueError for a bad pair, NotForestError if r is outside the window."""
+    check_pair(p, qbar)
+    window = division_window(p, qbar)
+    if window is None:
+        raise NotForestError(f"no division window at qbar = {qbar}; principal tree undefined")
+    return window
+
+
+def _walk(qbar: int, m: int, r: int, w: str) -> list[PrincipalVertex]:
+    """E_m, E_{m+1}, then E_v for every prefix v of w, ending with E_w.
 
     E_m has no parents, and E_{m+1} closes the root triangle with E and
     E_m.  Each E_v is the mediant of its parents a and b, with exponents
     (m_a + m_b + 1, n_a + n_b - qbar); the next letter of w makes E_v the
     right parent (R) or the left one (L).
     """
-    left = ("E_m", None, None, m - 1, qbar + r)
-    right = ("E_{m+1}", "E", "E_m", m, r)
+    left = PrincipalVertex("E_m", None, None, m - 1, qbar + r)
+    right = PrincipalVertex("E_{m+1}", "E", "E_m", m, r)
     steps = [left, right]
     for i in range(len(w) + 1):
-        m_exp, n_exp = left[3] + right[3] + 1, left[4] + right[4] - qbar
-        mid = ("E_" + w[:i], left[0], right[0], m_exp, n_exp)
+        m_exp, n_exp = left.m_exp + right.m_exp + 1, left.n_exp + right.n_exp - qbar
+        mid = PrincipalVertex("E_" + w[:i], left.label, right.label, m_exp, n_exp)
         steps.append(mid)
         letter = w[i : i + 1]
         if letter == "R":
@@ -163,31 +177,27 @@ def _walk(
     return steps
 
 
-def principal_vertex(p: int, qbar: int, m: int, r: int, w: str = "") -> PrincipalVertex:
-    """Walk the mediant tree along w (letters L/R) from the base pair."""
-    if p != qbar * m + r:
-        raise ValueError(f"inconsistent division: {p} != {qbar}*{m} + {r}")
-    *_, m_exp, n_exp = _walk(qbar, m, r, w)[-1]
-    return PrincipalVertex(qbar, w, m_exp, n_exp)
+def principal_vertex(p: int, qbar: int, w: str = "") -> PrincipalVertex:
+    """Vertex E_w of the principal tree of (p, qbar): the end of the walk
+    along w (letters L/R) from the base pair."""
+    return _walk(qbar, *_division(p, qbar), w)[-1]
 
 
 @dataclass(frozen=True)
 class Bridge:
-    """A minimal bridge.  vertices holds (label, m_exp, n_exp) for every
-    corridor vertex but E, in walk order: E_m, E_{m+1}, then E_v for each
-    prefix v of w; the last one, E_w, is the far end D."""
+    """A minimal bridge.  walk holds every corridor vertex but E, in walk
+    order: E_m, E_{m+1}, then E_v for each prefix v of w.  Each vertex
+    after E_m spans a corridor triangle with its two parents, and the
+    last one, E_w, is the far end D."""
 
     lens: LensSpace
     qbar: int
     m: int
     r: int
     w: str
-    m_exp: int
-    n_exp: int
     d_word: Word
-    corridor: tuple[tuple[str, str, str], ...]
     simplex_count: int
-    vertices: tuple[tuple[str, int, int], ...]
+    walk: tuple[PrincipalVertex, ...]
 
 
 def _tree_runs(i: int, j: int) -> list[tuple[str, int]]:
@@ -223,10 +233,7 @@ def find_bridge(space: LensSpace, qbar: int) -> Bridge:
     if qbar not in (space.q, inv.q_prime):
         admissible = " or ".join(dict.fromkeys(map(str, (space.q, inv.q_prime))))
         raise ValueError(f"qbar must be {admissible}, got {qbar}")
-    window = division_window(space.p, qbar)
-    if window is None:
-        raise NotForestError(f"{space!r}: division window for qbar={qbar} is empty")
-    m, r = window
+    m, r = _division(space.p, qbar)
     s = qbar - r
     i = pow(r, -1, s)  # i*r = 1 (mod s), so (s - i)*r = -1 (mod s)
     runs = min(
@@ -241,11 +248,11 @@ def find_bridge(space: LensSpace, qbar: int) -> Bridge:
             f" more than {MAX_BRIDGE_LENGTH}"
         )
     w = "".join(letter * k for letter, k in runs)
-    steps = _walk(qbar, m, r, w)
-    *_, m_exp, n_exp = steps[-1]
-    if 2 * m_exp + 2 > MAX_CORRIDOR_SYLLABLES:
+    walk = tuple(_walk(qbar, m, r, w))
+    d = walk[-1]
+    if 2 * d.m_exp + 2 > MAX_CORRIDOR_SYLLABLES:
         raise ValueError(
-            f"{space!r}: bridge D-word at qbar = {qbar} has {2 * m_exp + 2} syllables,"
+            f"{space!r}: bridge D-word at qbar = {qbar} has {2 * d.m_exp + 2} syllables,"
             f" more than {MAX_CORRIDOR_SYLLABLES}"
         )
     return Bridge(
@@ -254,12 +261,9 @@ def find_bridge(space: LensSpace, qbar: int) -> Bridge:
         m=m,
         r=r,
         w=w,
-        m_exp=m_exp,
-        n_exp=n_exp,
-        d_word=PrincipalVertex(qbar, w, m_exp, n_exp).word(),
-        corridor=tuple((left, right, label) for label, left, right, _, _ in steps[1:]),
+        d_word=vertex_word(qbar, d.m_exp, d.n_exp),
         simplex_count=len(w) + 2,
-        vertices=tuple((label, *exponents) for label, _, _, *exponents in steps),
+        walk=walk,
     )
 
 
@@ -291,5 +295,5 @@ def bridge_report(bridge: Bridge) -> dict:
         "dWord": str(bridge.d_word),
         "simplexCount": bridge.simplex_count,
         "homology": {"E": class_e, "D": class_d},
-        "corridor": [list(triangle) for triangle in bridge.corridor],
+        "corridor": [[v.left, v.right, v.label] for v in bridge.walk[1:]],
     }

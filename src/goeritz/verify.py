@@ -20,7 +20,7 @@ from .lens import Classification, LensSpace, division_window, invariants, modula
 from .obstructions import certify_nonprimitive
 from .primitivity import enumerate_primitives, is_primitive, is_primitive_power, oz_form_check
 from .shell_bridge import (
-    NotForestError, PrincipalVertex, bridge_end_homology, find_bridge, shell_words
+    NotForestError, bridge_end_homology, find_bridge, shell_words, vertex_word
 )
 from .words import CyclicWord
 
@@ -295,14 +295,14 @@ def _examine_bridge(space, qbar):
         bridge = find_bridge(space, qbar)
     except (NotForestError, ValueError) as exc:
         return report(f"no bridge: {exc}")
-    if bridge.n_exp not in (qbar - 1, qbar + 1):
+    if bridge.walk[-1].n_exp not in (qbar - 1, qbar + 1):
         return report("end exponent out of range", bridge)
     if not is_primitive(bridge.d_word).is_primitive:
         return report("end word not primitive", bridge)
     if bridge.simplex_count != len(bridge.w) + 2:
         return report("simplex count mismatch", bridge)
-    for _, m_exp, n_exp in bridge.vertices[:-1]:
-        word = PrincipalVertex(qbar, "", m_exp, n_exp).word()
+    for v in bridge.walk[:-1]:
+        word = vertex_word(qbar, v.m_exp, v.n_exp)
         if is_primitive(word).is_primitive:
             return report(f"interior word {word} is primitive", bridge)
     ends = bridge_end_homology(bridge)
@@ -343,13 +343,13 @@ def run_all(
     max_p: int = 60,
     exhaustive_len: int = 14,
     samples: int = 100_000,
-    random_len: int = 20,
-    oz_len: int = 16,
-    classification_p: int = 200,
     seed: int = DEFAULT_SEED,
     workers: int = 1,
 ) -> list[CheckResult]:
     """Run every suite; order is fixed so reports are comparable.
+
+    Random words run to min(20, exhaustive_len + 6) letters, primitive
+    classes to min(16, exhaustive_len + 2), classification to max(200, max_p).
 
     workers must lie within 1..os.cpu_count(): a process pool forks all
     its workers at the first submit, so the bound is checked before any
@@ -363,11 +363,11 @@ def run_all(
         check_obstruction_soundness(
             exhaustive_len=exhaustive_len,
             samples=samples,
-            random_len=random_len,
+            random_len=min(20, exhaustive_len + 6),
             seed=seed,
             workers=workers,
         ),
-        check_oz_necessity(max_len=oz_len),
+        check_oz_necessity(max_len=min(16, exhaustive_len + 2)),
         check_bridges(max_p=max_p),
-        check_classification(max_p=classification_p),
+        check_classification(max_p=max(200, max_p)),
     ]

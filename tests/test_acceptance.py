@@ -119,7 +119,7 @@ def test_criterion_7_classification_equivalence():
 def test_criterion_8_export_determinism():
     def builds():
         shell = build_shell_complex(shell_words(12, 5))
-        principal = build_principal_complex(12, 5, 2, 2, 3)
+        principal = build_principal_complex(12, 5, 3)
         corridor = build_bridge_corridor(find_bridge(LensSpace(12, 5), 5))
         return {
             "shell_l12_5.json": export_json(shell),

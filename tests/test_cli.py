@@ -367,13 +367,13 @@ class TestGoldens:
             (("presentation", "23", "7", "--gap"), "presentation_l23_7.gap"),
             (("--format", "json", "presentation", "12", "5"), "presentation_l12_5.json"),
             (("--format", "json", "bridge", "23", "7"), "bridge_l23_7.json"),
-            (("bridge", "23", "7"), "bridge_l23_7.txt"),
-            (("--format", "json", "complex", "bridge", "39", "17"), "bridge_l39_17.json"),
-            (("complex", "bridge", "39", "17"), "bridge_l39_17.txt"),
             (
                 ("--format", "json", "complex", "principal", "23", "7", "--depth", "4"),
                 "principal_l23_7_d4.json",
             ),
+            (("bridge", "23", "7"), "bridge_l23_7.txt"),
+            (("--format", "json", "complex", "bridge", "39", "17"), "bridge_l39_17.json"),
+            (("complex", "bridge", "39", "17"), "bridge_l39_17.txt"),
         ],
     )
     def test_golden(self, capsys, argv, name):

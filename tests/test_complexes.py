@@ -19,8 +19,22 @@ from goeritz.complexes import (
     import_json,
     validate,
 )
-from goeritz.lens import LensSpace
+from goeritz.lens import LensSpace, division_window
 from goeritz.shell_bridge import NotForestError, find_bridge, shell_words
+from goeritz.verify import forest_windows
+from goeritz.words import Word
+
+# (p, qbar, m, r, depth): two trees at every depth up to 8, then every
+# forest window with p <= 40 at depth 9, which holds every vertex of the
+# walks of depth <= 8.
+MEDIANT_CASES = [
+    (p, qbar, m, r, depth)
+    for depth in range(9)
+    for p, qbar, m, r in [(12, 5, 2, 2), (23, 7, 3, 2)]
+] + [
+    (p, qbar, *division_window(p, qbar), 9)
+    for p, qbar in sorted({(space.p, qbar) for space, qbar in forest_windows(40)})
+]
 
 
 def euler_characteristic(c: SimplicialComplex2) -> int:
@@ -82,7 +96,7 @@ class TestShellComplex:
 
 class TestPrincipalComplex:
     def test_depth_one(self):
-        c = build_principal_complex(12, 5, 2, 2, 1)
+        c = build_principal_complex(12, 5, 1)
         assert {v.label for v in c.vertices} == {"E", "E_m", "E_{m+1}", "E_"}
         assert c.triangles == (
             ("E", "E_m", "E_{m+1}"),
@@ -91,7 +105,7 @@ class TestPrincipalComplex:
         assert c.vertex("E_").n_exp == 4
 
     def test_depth_two_annotations(self):
-        c = build_principal_complex(12, 5, 2, 2, 2)
+        c = build_principal_complex(12, 5, 2)
         assert c.vertex("E_R").n_exp == 6
         assert c.vertex("E_L").n_exp == 1
         assert c.vertex("E_L").m_exp == 7
@@ -99,24 +113,25 @@ class TestPrincipalComplex:
 
     @pytest.mark.parametrize("depth", [0, 1, 2, 3, 5])
     def test_vertex_count(self, depth):
-        c = build_principal_complex(23, 7, 3, 2, depth)
+        c = build_principal_complex(23, 7, depth)
         assert len(c.vertices) == 3 + (1 << depth) - 1
         assert len(c.triangles) == 1 << depth
 
-    @pytest.mark.parametrize("depth", range(9))
-    @pytest.mark.parametrize("p, qbar, m, r", [(12, 5, 2, 2), (23, 7, 3, 2)])
+    @pytest.mark.parametrize("p, qbar, m, r, depth", MEDIANT_CASES)
     def test_every_triangle_obeys_the_mediant_rule(self, p, qbar, m, r, depth):
         # Below the root triangle {E, E_m, E_{m+1}}, the apex of a triangle
         # is its vertex of largest m-exponent, since m_a + m_b + 1 exceeds
         # both parents'; every tree vertex is the apex of exactly one.
-        c = build_principal_complex(p, qbar, m, r, depth)
+        c = build_principal_complex(p, qbar, depth)
+        assert (c.meta["m"], c.meta["r"]) == (m, r)
         assert len(c.triangles) == 1 << depth
         assert ("E", "E_m", "E_{m+1}") in c.triangles
+        by_label = {v.label: v for v in c.vertices}
         apexes = []
         for triangle in c.triangles:
             if "E" in triangle:
                 continue
-            apex, a, b = sorted(map(c.vertex, triangle), key=lambda v: -v.m_exp)
+            apex, a, b = sorted(map(by_label.get, triangle), key=lambda v: -v.m_exp)
             assert (apex.m_exp, apex.n_exp) == (
                 a.m_exp + b.m_exp + 1,
                 a.n_exp + b.n_exp - qbar,
@@ -124,10 +139,25 @@ class TestPrincipalComplex:
             apexes.append(apex.label)
         labels = {v.label for v in c.vertices} - {"E", "E_m", "E_{m+1}"}
         assert sorted(apexes) == sorted(labels)
+        # Each word is the reduced (xy^qbar)^m_exp xy^n_exp, n_exp = 0 or not.
+        for v in c.vertices:
+            if v.label == "E":
+                continue
+            reduced = Word((("x", 1), ("y", qbar)) * v.m_exp + (("x", 1), ("y", v.n_exp)))
+            assert v.word.syllables == reduced.syllables, v
+            assert str(v.word) == str(reduced)
 
     def test_depth_guard(self):
         with pytest.raises(ValueError):
-            build_principal_complex(12, 5, 2, 2, 13)
+            build_principal_complex(12, 5, 13)
+
+    @pytest.mark.parametrize(
+        "p, qbar, error",
+        [(7, 3, NotForestError), (5, 7, ValueError), (12, 4, ValueError), (3, 5, ValueError)],
+    )
+    def test_rejects_bad_pairs(self, p, qbar, error):
+        with pytest.raises(error):
+            build_principal_complex(p, qbar, depth=1)
 
 
 class TestBridgeCorridor:
@@ -202,7 +232,7 @@ class TestExports:
     def test_json_round_trip(self):
         for c in [
             build_shell_complex(shell_words(12, 5)),
-            build_principal_complex(12, 5, 2, 2, 3),
+            build_principal_complex(12, 5, 3),
             build_bridge_corridor(find_bridge(LensSpace(23, 7), 7)),
             build_tree_of_trees_ball(LensSpace(12, 5), 2, 3),
         ]:
@@ -227,7 +257,7 @@ class TestExports:
         assert lines[-1] == "}"
 
     def test_exports_deterministic(self):
-        a = build_principal_complex(12, 5, 2, 2, 3)
-        b = build_principal_complex(12, 5, 2, 2, 3)
+        a = build_principal_complex(12, 5, 3)
+        b = build_principal_complex(12, 5, 3)
         assert export_json(a) == export_json(b)
         assert export_dot(a) == export_dot(b)

@@ -2,19 +2,21 @@
 
 from __future__ import annotations
 
+import re
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goeritz.lens import LensSpace, division_window, invariants, modular_partner
+from goeritz.lens import LensSpace, invariants, modular_partner
 from goeritz.primitivity import is_primitive, oz_form_check
 from goeritz.shell_bridge import (
     MAX_BRIDGE_LENGTH,
     MAX_CORRIDOR_SYLLABLES,
     MAX_SHELL_P,
     Bridge,
+    E_WORD,
     NotForestError,
     PrincipalVertex,
     bridge_end_homology,
@@ -22,6 +24,7 @@ from goeritz.shell_bridge import (
     find_bridge,
     principal_vertex,
     shell_words,
+    vertex_word,
 )
 from goeritz.verify import forest_windows
 from goeritz.words import CyclicWord, Word, format_word, parse_word
@@ -68,7 +71,7 @@ class TestShellWords:
         assert shell.word(0) == parse_word("y^7")
         assert shell.word(1) == parse_word("xy^7")
         assert shell.word(2) == parse_word("xy^3xy^4")
-        assert str(shell.e_word) == "x"
+        assert str(E_WORD) == "x"
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -156,9 +159,9 @@ class TestIncrementalShell:
 
 class TestPrincipalVertex:
     def test_twelve_five_frozen(self):
-        assert principal_vertex(12, 5, 2, 2, "") == PrincipalVertex(5, "", 4, 4)
-        assert principal_vertex(12, 5, 2, 2, "R") == PrincipalVertex(5, "R", 6, 6)
-        assert principal_vertex(12, 5, 2, 2, "L") == PrincipalVertex(5, "L", 7, 1)
+        assert principal_vertex(12, 5, "") == PrincipalVertex("E_", "E_m", "E_{m+1}", 4, 4)
+        assert principal_vertex(12, 5, "R") == PrincipalVertex("E_R", "E_m", "E_", 6, 6)
+        assert principal_vertex(12, 5, "L") == PrincipalVertex("E_L", "E_", "E_{m+1}", 7, 1)
 
     def test_depth_two_shapes(self):
         # General forms at depth two, checked on (23, 7) with (m, r) = (3, 2).
@@ -170,18 +173,29 @@ class TestPrincipalVertex:
             "LR": (5 * m + 2, 5 * r - 2 * qbar),
         }
         for w, (me, ne) in cases.items():
-            v = principal_vertex(23, 7, 3, 2, w)
+            v = principal_vertex(23, 7, w)
             assert (v.m_exp, v.n_exp) == (me, ne)
 
     def test_word_rendering(self):
-        v = principal_vertex(12, 5, 2, 2, "")
-        assert str(v.word()) == "xy^5xy^5xy^5xy^5xy^4"
+        v = principal_vertex(12, 5, "")
+        assert str(vertex_word(5, v.m_exp, v.n_exp)) == "xy^5xy^5xy^5xy^5xy^4"
 
     def test_rejects_bad_walk(self):
         with pytest.raises(ValueError):
-            principal_vertex(12, 5, 2, 2, "RX")
-        with pytest.raises(ValueError):
-            principal_vertex(12, 5, 2, 3, "")
+            principal_vertex(12, 5, "RX")
+
+    @pytest.mark.parametrize(
+        "p, qbar, error, message",
+        [
+            (7, 3, NotForestError, "no division window at qbar = 3; principal tree undefined"),
+            (5, 7, ValueError, "need coprime 1 <= qbar < p, got (5,7)"),
+            (12, 4, ValueError, "need coprime 1 <= qbar < p, got (12,4)"),
+        ],
+        ids=["no-window", "qbar-above-p", "not-coprime"],
+    )
+    def test_rejects_bad_pairs(self, p, qbar, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            principal_vertex(p, qbar)
 
     @given(st.binary())
     def test_exponent_bookkeeping(self, raw: bytes):
@@ -194,7 +208,7 @@ class TestPrincipalVertex:
             mid = (pair[0][0] + pair[1][0], pair[0][1] + pair[1][1] + 1)
             pair = (pair[0], mid) if letter == "R" else (mid, pair[1])
         c, d = pair[0][0] + pair[1][0], pair[0][1] + pair[1][1] + 1
-        v = principal_vertex(p, qbar, m, r, w)
+        v = principal_vertex(p, qbar, w)
         assert v.n_exp == c * r - d * qbar
         assert c >= 2 and d >= 0
         assert v.m_exp == c * m + d
@@ -208,11 +222,16 @@ class TestPrincipalVertex:
             for w, pair in frontier:
                 mid = (pair[0][0] + pair[1][0], pair[0][1] + pair[1][1] + 1)
                 c, d = mid
-                v = principal_vertex(p, qbar, m, r, w)
+                v = principal_vertex(p, qbar, w)
                 assert v.n_exp == c * r - d * qbar
                 nxt.append((w + "L", (mid, pair[1])))
                 nxt.append((w + "R", (pair[0], mid)))
             frontier = nxt
+
+
+def corridor(bridge: Bridge) -> list[tuple[str, str, str]]:
+    """The corridor triangles of a bridge, as (left, right, apex)."""
+    return [(v.left, v.right, v.label) for v in bridge.walk[1:]]
 
 
 class TestFindBridge:
@@ -221,10 +240,10 @@ class TestFindBridge:
         assert bridge.w == ""
         assert str(bridge.d_word) == "xy^5xy^5xy^5xy^5xy^4"
         assert bridge.simplex_count == 2
-        assert bridge.corridor == (
+        assert corridor(bridge) == [
             ("E", "E_m", "E_{m+1}"),
             ("E_m", "E_{m+1}", "E_"),
-        )
+        ]
         assert bridge_end_homology(bridge) == (1, 5)
 
     def test_twenty_three_seven(self):
@@ -232,11 +251,11 @@ class TestFindBridge:
         assert bridge.w == "R"
         assert bridge.d_word == parse_word("(xy^7)^9xy^6")
         assert bridge.simplex_count == 3
-        assert bridge.corridor == (
+        assert corridor(bridge) == [
             ("E", "E_m", "E_{m+1}"),
             ("E_m", "E_{m+1}", "E_"),
             ("E_m", "E_", "E_R"),
-        )
+        ]
         assert bridge_end_homology(bridge) == (1, 7)
 
     def test_seventeen_five(self):
@@ -263,20 +282,20 @@ class TestFindBridge:
         # L(404, 201) genuinely needs a deep walk.
         deep = find_bridge(LensSpace(404, 201), 201)
         assert deep.w == "R" * 98
-        assert (deep.m_exp, deep.n_exp) == (200, 200)
+        assert (deep.walk[-1].m_exp, deep.walk[-1].n_exp) == (200, 200)
 
     def test_l133_45(self):
         # The smallest p whose bridge lies beyond 2^20 nodes of breadth-first order.
         bridge = find_bridge(LensSpace(133, 45), 45)
         assert bridge.w == "L" * 20
-        assert bridge.n_exp in (44, 46)
+        assert bridge.walk[-1].n_exp in (44, 46)
 
     def test_both_partners(self):
         space = LensSpace(23, 7)
         inv = invariants(space)
         assert inv.q_prime == 10
         other = find_bridge(space, 10)
-        assert other.n_exp in (9, 11)
+        assert other.walk[-1].n_exp in (9, 11)
         assert bridge_end_homology(other) == (1, 10)
 
     def test_report_shape(self):
@@ -298,7 +317,7 @@ class TestFindBridge:
     def test_sweep_small(self):
         for space, qbar in forest_windows(200):
             bridge = find_bridge(space, qbar)
-            assert bridge.n_exp in (qbar - 1, qbar + 1)
+            assert bridge.walk[-1].n_exp in (qbar - 1, qbar + 1)
             assert bridge.simplex_count == len(bridge.w) + 2
             e, d = bridge_end_homology(bridge)
             assert e == 1 and d == qbar
@@ -325,25 +344,23 @@ class TestFindBridge:
     def test_corridor_triangles_obey_the_mediant_rule(self):
         for space, qbar in forest_windows(200):
             bridge = find_bridge(space, qbar)
-            exponents = {label: (m_exp, n_exp) for label, m_exp, n_exp in bridge.vertices}
-            assert len(exponents) == len(bridge.vertices) == len(bridge.corridor) + 1
-            for a, b, apex in bridge.corridor[1:]:
-                (m_a, n_a), (m_b, n_b) = exponents[a], exponents[b]
-                assert exponents[apex] == (m_a + m_b + 1, n_a + n_b - qbar), (space, apex)
-            assert (bridge.m_exp, bridge.n_exp) == bridge.vertices[-1][1:]
+            exponents = {v.label: (v.m_exp, v.n_exp) for v in bridge.walk}
+            assert len(exponents) == len(bridge.walk)
+            for v in bridge.walk[2:]:
+                (m_a, n_a), (m_b, n_b) = exponents[v.left], exponents[v.right]
+                assert exponents[v.label] == (m_a + m_b + 1, n_a + n_b - qbar), (space, v)
 
     def test_corridor_adjacent_simplices_share_one_edge(self):
         for space, qbar in forest_windows(40):
-            corridor = find_bridge(space, qbar).corridor
-            for a, b in zip(corridor, corridor[1:]):
+            triangles = corridor(find_bridge(space, qbar))
+            for a, b in zip(triangles, triangles[1:]):
                 assert len(set(a) & set(b)) == 2
-            labels = [t[2] for t in corridor[1:]]
+            labels = [t[2] for t in triangles[1:]]
             assert labels[0] == "E_"
 
     def test_find_is_minimal_and_lex_least(self):
         # Brute-force the tree level by level and compare.
         for space, qbar in forest_windows(30):
-            m, r = division_window(space.p, qbar)
             bridge = find_bridge(space, qbar)
             frontier = [""]
             found = None
@@ -351,7 +368,7 @@ class TestFindBridge:
                 hits = [
                     w
                     for w in frontier
-                    if principal_vertex(space.p, qbar, m, r, w).n_exp
+                    if principal_vertex(space.p, qbar, w).n_exp
                     in (qbar - 1, qbar + 1)
                 ]
                 if hits:

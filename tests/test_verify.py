@@ -157,9 +157,6 @@ class TestRunAll:
             max_p=12,
             exhaustive_len=6,
             samples=200,
-            random_len=10,
-            oz_len=8,
-            classification_p=30,
         )
         assert [r.name for r in results] == [
             "shell-primitivity",
@@ -176,9 +173,6 @@ class TestRunAll:
             max_p=12,
             exhaustive_len=4,
             samples=50,
-            random_len=8,
-            oz_len=6,
-            classification_p=10,
         )
         failed = [r for r in results if not r.passed]
         assert [r.name for r in failed] == ["oz-necessity"]
