@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import random
 from math import gcd
 
@@ -17,7 +19,8 @@ from goeritz.primitivity import (
     is_primitive_power,
     oz_form_check,
 )
-from goeritz.verify import DEFAULT_SEED, _random_letters, canonical_classes
+from goeritz.shell_bridge import find_bridge, shell_words, vertex_word
+from goeritz.verify import DEFAULT_SEED, _random_letters, canonical_classes, forest_windows
 from goeritz.words import CyclicWord, Word, letter_inverse, parse_word
 
 raw_pairs = st.lists(
@@ -262,3 +265,36 @@ def test_moves_preserve_primitivity(w: Word, move_id: str):
     cyc = CyclicWord.of(w)
     image = apply_whitehead(cyc, move_id)
     assert is_primitive(image).is_primitive == is_primitive(cyc).is_primitive
+
+
+def _shell_inputs():
+    for p in range(2, 61):
+        for qbar in range(1, p):
+            if gcd(p, qbar) == 1:
+                yield from shell_words(p, qbar).words
+
+
+def _corridor_inputs():
+    for space, qbar in forest_windows(100):
+        for v in find_bridge(space, qbar).walk:
+            yield vertex_word(qbar, v.m_exp, v.n_exp)
+
+
+# sha256 of (word, is_primitive, is_primitive_power, reduction_trace,
+# power_root) over long words, where the Whitehead agreement above does
+# not reach: every shell word with p <= 60 (45,331 words), and every
+# corridor word of the minimal bridges with p <= 100 (10,997 words).
+PINNED_VERDICTS = {
+    "shell": "f7141a039fc256668bac255dac312786b76fa3d3c10d710ca5e8b14ac3b9cb1f",
+    "corridor": "7e366c86cebd7dfb779e01ab692040cc86b57224d2b81cba063669cd306fb216",
+}
+
+
+@pytest.mark.parametrize("name, inputs", [("shell", _shell_inputs), ("corridor", _corridor_inputs)])
+def test_verdicts_pinned(name, inputs):
+    digest = hashlib.sha256()
+    for w in inputs():
+        v = is_primitive(w)
+        entry = [str(w), v.is_primitive, v.is_primitive_power, v.reduction_trace, str(v.power_root)]
+        digest.update(json.dumps(entry).encode())
+    assert digest.hexdigest() == PINNED_VERDICTS[name]
