@@ -10,9 +10,10 @@ answer and leaves one letter per s-syllable.  Repeating this is the
 Euclidean algorithm on syllables (Osborne and Zieschang 1981; Cohen,
 Metzler and Zimmermann 1981): the class is primitive iff the descent ends
 at a single letter, and a primitive power iff it ends at a single
-syllable.  Each level at least halves the syllable count.  The labels
-of the reduction trace are formatted straight from (generator, exponent),
-without building a Word.
+syllable.  Each level at least halves the syllable count, and costs a few
+C-level passes over its exponents plus a Python step per occurrence of
+t's rarer exponent.  Trace labels are formatted straight from (generator,
+exponent), and the power root is built only when it is read.
 
 Whitehead's four rank-2 moves, x -> xy, x -> xy^-1, y -> yx and
 y -> yx^-1, stay as the independent reference: enumerate_primitives
@@ -21,9 +22,10 @@ closes the single letters under them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby
-from operator import itemgetter
+from operator import itemgetter, sub
 
 from .words import CyclicWord, Word, _least_rotation, _syllable_text, parse_word
 
@@ -99,13 +101,15 @@ def _shape(exps: list[int]) -> tuple[int, int, list[int], int, int] | None:
     Returns the offset of the separator's syllables, the separator's
     exponent, the other generator's exponents t and their least and
     greatest value, or None when no separator exists or t spreads over
-    more than two adjacent values (which includes mixed signs).
+    more than two adjacent values (which includes mixed signs).  One
+    count tests the separator and one set holds the values of t.
     """
     for off in (0, 1):
         s = exps[off::2]
-        if abs(s[0]) == 1 and min(s) == max(s):
-            t = exps[1 - off::2]
-            lo, hi = min(t), max(t)
+        if abs(s[0]) == 1 and s.count(s[0]) == len(s):
+            t = exps[1 - off :: 2]
+            values = set(t)
+            lo, hi = min(values), max(values)
             return (off, s[0], t, lo, hi) if hi - lo <= 1 else None
     return None
 
@@ -127,12 +131,29 @@ def _power_root(first: str, exps: list[int], k: int) -> Word:
     return Word(tuple(zip("xy" * len(exps), exps[: len(exps) // k])))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrimitivityVerdict:
+    """The descent's answer.  power_root (None unless w is a primitive
+    power) is built on first read from the cyclic exponents and k that
+    the descent kept; equality and hashing compare the four values."""
+
     is_primitive: bool
     is_primitive_power: bool
-    power_root: Word | None
     reduction_trace: tuple[tuple[str, int], ...]
+    _root_of: tuple[str, list[int], int] | None = field(default=None, repr=False)
+
+    @cached_property
+    def power_root(self) -> Word | None:
+        return None if self._root_of is None else _power_root(*self._root_of)
+
+    def _values(self) -> tuple:
+        return self.is_primitive, self.is_primitive_power, self.power_root, self.reduction_trace
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, PrimitivityVerdict) and self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
 
 def is_primitive(w: CyclicWord | Word | str) -> PrimitivityVerdict:
@@ -150,7 +171,7 @@ def is_primitive(w: CyclicWord | Word | str) -> PrimitivityVerdict:
     while len(exps) > 1:
         shape = _shape(exps)
         if shape is None:
-            return PrimitivityVerdict(False, False, None, tuple(trace))
+            return PrimitivityVerdict(False, False, tuple(trace))
         off, s_exp, t, lo, hi = shape
         s_gen = first if off == 0 else _OTHER[first]
         t_gen = _OTHER[s_gen]
@@ -159,18 +180,31 @@ def is_primitive(w: CyclicWord | Word | str) -> PrimitivityVerdict:
         n, step = (lo, 1) if lo > 0 else (hi, -1)
         s = _syllable_text(s_gen, s_exp)
         a, b = _syllable_text(t_gen, n), _syllable_text(t_gen, n + step)
-        trace.append((f"x->{s}{a}, y->{s}{b}", len(t)))
+        size = len(t)
+        trace.append((f"x->{s}{a}, y->{s}{b}", size))
         if lo == hi:
-            first, exps = "x", [len(t)]
+            first, exps = "x", [size]
             continue
-        # Runs of A = s t^n (x) and B = s t^(n+1) (y), cut where t changes.
-        cuts = [i for i in range(len(t)) if t[i] != t[i - 1]]
+        # Runs of A = s t^n (x) and B = s t^(n+1) (y), cut where a run of
+        # t's rarer value starts and just after one ends.  list.index jumps
+        # between that value's occurrences, one Python step each; prev
+        # starts at the last occurrence, one turn back.
+        count = t.count(lo)
+        rare, count = (lo, count) if 2 * count <= size else (hi, size - count)
+        cuts, i, prev = [], -1, -1 - t[::-1].index(rare)
+        for _ in range(count):
+            i = t.index(rare, i + 1)
+            if i > prev + 1:
+                cuts += (prev + 1, i)
+            prev = i
+        if cuts[0] < 0:  # the common value's last run wraps past the end
+            cuts.append(cuts.pop(0) + size)
         first = "x" if t[cuts[0]] == n else "y"
-        exps = [j - i for i, j in zip(cuts, cuts[1:])] + [cuts[0] + len(t) - cuts[-1]]
+        exps = [*map(sub, cuts[1:], cuts), cuts[0] + size - cuts[-1]]
     if not exps:
-        return PrimitivityVerdict(False, False, None, ())
+        return PrimitivityVerdict(False, False, ())
     k = abs(exps[0])
-    return PrimitivityVerdict(k == 1, True, _power_root(*cyclic, k), tuple(trace))
+    return PrimitivityVerdict(k == 1, True, tuple(trace), (*cyclic, k))
 
 
 # One verdict answers both questions; both names stay public.

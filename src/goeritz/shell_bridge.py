@@ -192,12 +192,15 @@ class Bridge:
 
     lens: LensSpace
     qbar: int
-    m: int
-    r: int
     w: str
     d_word: Word
-    simplex_count: int
     walk: tuple[PrincipalVertex, ...]
+
+    # Read off the walk: E_{m+1} has exponents (m, r), and every vertex
+    # after E_m spans one simplex.
+    m = property(lambda self: self.walk[1].m_exp)
+    r = property(lambda self: self.walk[1].n_exp)
+    simplex_count = property(lambda self: len(self.walk) - 1)
 
 
 def _tree_runs(i: int, j: int) -> list[tuple[str, int]]:
@@ -256,14 +259,7 @@ def find_bridge(space: LensSpace, qbar: int) -> Bridge:
             f" more than {MAX_CORRIDOR_SYLLABLES}"
         )
     return Bridge(
-        lens=space,
-        qbar=qbar,
-        m=m,
-        r=r,
-        w=w,
-        d_word=vertex_word(qbar, d.m_exp, d.n_exp),
-        simplex_count=len(w) + 2,
-        walk=walk,
+        lens=space, qbar=qbar, w=w, d_word=vertex_word(qbar, d.m_exp, d.n_exp), walk=walk
     )
 
 

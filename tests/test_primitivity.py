@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import goeritz.primitivity as primitivity
 from goeritz.primitivity import (
     MAX_ENUMERATION_LENGTH,
     MOVE_IDS,
@@ -146,6 +147,48 @@ class TestPrimitivePower:
     def test_powers_of_primitives(self, w: Word, k: int):
         if is_primitive(w).is_primitive:
             assert is_primitive_power(w**k).is_primitive_power
+
+
+class TestLazyPowerRoot:
+    @pytest.fixture
+    def root_calls(self, monkeypatch):
+        calls = []
+        build = primitivity._power_root
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(primitivity, "_power_root", counted)
+        return calls
+
+    def test_shell_indices_build_no_root(self, root_calls):
+        shell = shell_words(161, 50)
+        assert len(shell.primitive_indices) == 4
+        assert is_primitive(shell.word(160)).is_primitive_power
+        assert root_calls == []
+
+    def test_root_built_once(self, root_calls):
+        verdict = is_primitive("(xy^2xy^3)^3")
+        assert root_calls == []
+        assert verdict.power_root == parse_word("xy^2xy^3")
+        assert verdict.power_root is verdict.power_root
+        assert len(root_calls) == 1
+
+    def test_equality_is_the_four_values(self):
+        inputs = ["", "x", "y", "x^-1", "xy", "yx", "x^2y", "yx^2", "(xy)^2", "(yx)^2", "x^3"]
+        inputs += ["xyxy^2", "y^2xyx", "(xy^2xy^3)^3", "(y^3xy^2x)^3", "x^2y^2", "y^2x^2"]
+        verdicts = [is_primitive(w) for w in inputs]
+        for a in verdicts:
+            for b in verdicts:
+                assert (a == b) == (fields(a) + (a.reduction_trace,) == fields(b) + (b.reduction_trace,))
+                if a == b:
+                    assert hash(a) == hash(b)
+        # Two rotations keep different exponents for one root.
+        assert is_primitive("x^2y") == is_primitive("yx^2")
+        assert hash(is_primitive("x^2y")) == hash(is_primitive("yx^2"))
+        assert is_primitive("x") != is_primitive("y")
+        assert is_primitive("x") != (True, True, parse_word("x"), ())
 
 
 class TestOzForm:

@@ -319,6 +319,7 @@ class TestFindBridge:
             bridge = find_bridge(space, qbar)
             assert bridge.walk[-1].n_exp in (qbar - 1, qbar + 1)
             assert bridge.simplex_count == len(bridge.w) + 2
+            assert (bridge.m, bridge.r) == divmod(space.p, qbar)
             e, d = bridge_end_homology(bridge)
             assert e == 1 and d == qbar
             assert d != e
