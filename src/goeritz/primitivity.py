@@ -107,7 +107,7 @@ def _shape(exps: list[int]) -> tuple[int, int, list[int], int, int] | None:
     for off in (0, 1):
         s = exps[off::2]
         if abs(s[0]) == 1 and s.count(s[0]) == len(s):
-            t = exps[1 - off :: 2]
+            t = exps[1 - off::2]
             values = set(t)
             lo, hi = min(values), max(values)
             return (off, s[0], t, lo, hi) if hi - lo <= 1 else None
