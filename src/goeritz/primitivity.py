@@ -10,10 +10,10 @@ answer and leaves one letter per s-syllable.  Repeating this is the
 Euclidean algorithm on syllables (Osborne and Zieschang 1981; Cohen,
 Metzler and Zimmermann 1981): the class is primitive iff the descent ends
 at a single letter, and a primitive power iff it ends at a single
-syllable.  Each level at least halves the syllable count, and costs a few
-C-level passes over its exponents plus a Python step per occurrence of
-t's rarer exponent.  Trace labels are formatted straight from (generator,
-exponent), and the power root is built only when it is read.
+syllable.  Each level at least halves the syllable count; it tests the
+shape with one count and one set, and cuts the next level's runs where
+t's exponent changes.  Trace labels are formatted straight from
+(generator, exponent), and the power root is built only when it is read.
 
 Whitehead's four rank-2 moves, x -> xy, x -> xy^-1, y -> yx and
 y -> yx^-1, stay as the independent reference: enumerate_primitives
@@ -185,20 +185,8 @@ def is_primitive(w: CyclicWord | Word | str) -> PrimitivityVerdict:
         if lo == hi:
             first, exps = "x", [size]
             continue
-        # Runs of A = s t^n (x) and B = s t^(n+1) (y), cut where a run of
-        # t's rarer value starts and just after one ends.  list.index jumps
-        # between that value's occurrences, one Python step each; prev
-        # starts at the last occurrence, one turn back.
-        count = t.count(lo)
-        rare, count = (lo, count) if 2 * count <= size else (hi, size - count)
-        cuts, i, prev = [], -1, -1 - t[::-1].index(rare)
-        for _ in range(count):
-            i = t.index(rare, i + 1)
-            if i > prev + 1:
-                cuts += (prev + 1, i)
-            prev = i
-        if cuts[0] < 0:  # the common value's last run wraps past the end
-            cuts.append(cuts.pop(0) + size)
+        # Runs of A = s t^n (x) and B = s t^(n+1) (y), cut where t changes.
+        cuts = [i for i in range(size) if t[i] != t[i - 1]]
         first = "x" if t[cuts[0]] == n else "y"
         exps = [*map(sub, cuts[1:], cuts), cuts[0] + size - cuts[-1]]
     if not exps:

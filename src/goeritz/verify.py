@@ -299,8 +299,6 @@ def _examine_bridge(space, qbar):
         return report("end exponent out of range", bridge)
     if not is_primitive(bridge.d_word).is_primitive:
         return report("end word not primitive", bridge)
-    if len(bridge.walk) != len(bridge.w) + 3:
-        return report("walk length mismatch", bridge)
     for v in bridge.walk[:-1]:
         word = vertex_word(qbar, v.m_exp, v.n_exp)
         if is_primitive(word).is_primitive:
