@@ -47,6 +47,7 @@ from .primitivity import (
     is_primitive,
     is_primitive_power,
     oz_form_check,
+    power_root,
 )
 from .shell_bridge import (
     Bridge,
@@ -122,6 +123,7 @@ __all__ = [
     "oz_form_check",
     "parse_word",
     "pi1_diff",
+    "power_root",
     "principal_vertex",
     "reduce_word",
     "run_all",

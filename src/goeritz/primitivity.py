@@ -13,7 +13,8 @@ at a single letter, and a primitive power iff it ends at a single
 syllable.  Each level at least halves the syllable count; it tests the
 shape with one count and one set, and cuts the next level's runs where
 t's exponent changes.  Trace labels are formatted straight from
-(generator, exponent), and the power root is built only when it is read.
+(generator, exponent); power_root builds the root of a primitive power
+on request.
 
 Whitehead's four rank-2 moves, x -> xy, x -> xy^-1, y -> yx and
 y -> yx^-1, stay as the independent reference: enumerate_primitives
@@ -22,8 +23,7 @@ closes the single letters under them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter, sub
 
@@ -131,29 +131,13 @@ def _power_root(first: str, exps: list[int], k: int) -> Word:
     return Word(tuple(zip("xy" * len(exps), exps[: len(exps) // k])))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PrimitivityVerdict:
-    """The descent's answer.  power_root (None unless w is a primitive
-    power) is built on first read from the cyclic exponents and k that
-    the descent kept; equality and hashing compare the four values."""
+    """The descent's answer for one class; power_root(w) gives the root."""
 
     is_primitive: bool
     is_primitive_power: bool
     reduction_trace: tuple[tuple[str, int], ...]
-    _root_of: tuple[str, list[int], int] | None = field(default=None, repr=False)
-
-    @cached_property
-    def power_root(self) -> Word | None:
-        return None if self._root_of is None else _power_root(*self._root_of)
-
-    def _values(self) -> tuple:
-        return self.is_primitive, self.is_primitive_power, self.power_root, self.reduction_trace
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PrimitivityVerdict) and self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
 
 
 def is_primitive(w: CyclicWord | Word | str) -> PrimitivityVerdict:
@@ -164,9 +148,9 @@ def is_primitive(w: CyclicWord | Word | str) -> PrimitivityVerdict:
     reduction trace: the label "x->A, y->B" is the substitution that maps
     the next level's word back onto this level's, and letters is the
     next level's length.  A descent that ends at a syllable g^k makes w
-    a power u^k, and power_root is u read off the canonical rotation.
+    a power u^k.
     """
-    cyclic = first, exps = _cyclic_exponents(w)
+    first, exps = _cyclic_exponents(w)
     trace: list[tuple[str, int]] = []
     while len(exps) > 1:
         shape = _shape(exps)
@@ -191,8 +175,19 @@ def is_primitive(w: CyclicWord | Word | str) -> PrimitivityVerdict:
         exps = [*map(sub, cuts[1:], cuts), cuts[0] + size - cuts[-1]]
     if not exps:
         return PrimitivityVerdict(False, False, ())
-    k = abs(exps[0])
-    return PrimitivityVerdict(k == 1, True, tuple(trace), (*cyclic, k))
+    return PrimitivityVerdict(abs(exps[0]) == 1, True, tuple(trace))
+
+
+def power_root(w: CyclicWord | Word | str) -> Word | None:
+    """The primitive u with w = u^k, read off the canonical rotation, or
+    None unless w is a primitive power.  The descent ends at a syllable
+    g^k, so k is the last level's length, or |g^k| when w is one syllable."""
+    verdict = is_primitive(w)
+    if not verdict.is_primitive_power:
+        return None
+    first, exps = _cyclic_exponents(w)
+    k = verdict.reduction_trace[-1][1] if verdict.reduction_trace else abs(exps[0])
+    return _power_root(first, exps, k)
 
 
 # One verdict answers both questions; both names stay public.

@@ -19,6 +19,7 @@ from goeritz.primitivity import (
     is_primitive,
     is_primitive_power,
     oz_form_check,
+    power_root,
 )
 from goeritz.shell_bridge import find_bridge, shell_words, vertex_word
 from goeritz.verify import DEFAULT_SEED, _random_letters, canonical_classes, forest_windows
@@ -82,7 +83,7 @@ class TestIsPrimitive:
             w = CyclicWord.of(text)
             verdict = is_primitive(w)
             assert verdict.is_primitive_power and verdict.reduction_trace
-            word = Word((("x", w.length // verdict.power_root.length),))
+            word = Word((("x", w.length // power_root(w).length),))
             for label, length in reversed(verdict.reduction_trace):
                 assert word.length == length
                 sub = dict(part.split("->") for part in label.split(", "))
@@ -123,25 +124,22 @@ class TestPrimitivePower:
         verdict = is_primitive_power("(xy)^2")
         assert verdict.is_primitive_power
         assert not verdict.is_primitive
-        assert verdict.power_root == parse_word("xy")
+        assert power_root("(xy)^2") == parse_word("xy")
 
     def test_seventh_power(self):
-        verdict = is_primitive_power("y^7")
-        assert verdict.is_primitive_power
-        assert verdict.power_root == parse_word("y")
+        assert is_primitive_power("y^7").is_primitive_power
+        assert power_root("y^7") == parse_word("y")
 
     def test_x2y2(self):
-        verdict = is_primitive_power("x^2y^2")
-        assert not verdict.is_primitive_power
-        assert verdict.power_root is None
+        assert not is_primitive_power("x^2y^2").is_primitive_power
+        assert power_root("x^2y^2") is None
 
     @given(words)
     def test_primitive_implies_power_with_trivial_root(self, w: Word):
         verdict = is_primitive(w)
         if verdict.is_primitive:
             assert verdict.is_primitive_power
-            assert verdict.power_root is not None
-            assert CyclicWord.of(verdict.power_root) == CyclicWord.of(w)
+            assert CyclicWord.of(power_root(w)) == CyclicWord.of(w)
 
     @given(words, st.integers(min_value=1, max_value=4))
     def test_powers_of_primitives(self, w: Word, k: int):
@@ -167,28 +165,6 @@ class TestLazyPowerRoot:
         assert len(shell.primitive_indices) == 4
         assert is_primitive(shell.word(160)).is_primitive_power
         assert root_calls == []
-
-    def test_root_built_once(self, root_calls):
-        verdict = is_primitive("(xy^2xy^3)^3")
-        assert root_calls == []
-        assert verdict.power_root == parse_word("xy^2xy^3")
-        assert verdict.power_root is verdict.power_root
-        assert len(root_calls) == 1
-
-    def test_equality_is_the_four_values(self):
-        inputs = ["", "x", "y", "x^-1", "xy", "yx", "x^2y", "yx^2", "(xy)^2", "(yx)^2", "x^3"]
-        inputs += ["xyxy^2", "y^2xyx", "(xy^2xy^3)^3", "(y^3xy^2x)^3", "x^2y^2", "y^2x^2"]
-        verdicts = [is_primitive(w) for w in inputs]
-        for a in verdicts:
-            for b in verdicts:
-                assert (a == b) == (fields(a) + (a.reduction_trace,) == fields(b) + (b.reduction_trace,))
-                if a == b:
-                    assert hash(a) == hash(b)
-        # Two rotations keep different exponents for one root.
-        assert is_primitive("x^2y") == is_primitive("yx^2")
-        assert hash(is_primitive("x^2y")) == hash(is_primitive("yx^2"))
-        assert is_primitive("x") != is_primitive("y")
-        assert is_primitive("x") != (True, True, parse_word("x"), ())
 
 
 class TestOzForm:
@@ -278,8 +254,9 @@ def whitehead_reference(cw: CyclicWord, primitives: set[CyclicWord]):
     return cw in primitives, is_power, root.to_word() if is_power else None
 
 
-def fields(verdict):
-    return verdict.is_primitive, verdict.is_primitive_power, verdict.power_root
+def fields(w):
+    verdict = is_primitive(w)
+    return verdict.is_primitive, verdict.is_primitive_power, power_root(w)
 
 
 class TestOracleAgreement:
@@ -289,7 +266,7 @@ class TestOracleAgreement:
     def test_every_class(self, primitives, n):
         for letters in canonical_classes(n):
             cw = CyclicWord(letters)
-            assert fields(is_primitive(cw)) == whitehead_reference(cw, primitives), str(cw)
+            assert fields(cw) == whitehead_reference(cw, primitives), str(cw)
 
     def test_seeded_random_words(self, primitives):
         rng = random.Random(DEFAULT_SEED)
@@ -298,8 +275,8 @@ class TestOracleAgreement:
             conjugator = Word.from_letters(_random_letters(rng, 4))
             linear = conjugator * cw.to_word() * conjugator.inverse()
             expected = whitehead_reference(cw, primitives)
-            assert fields(is_primitive(cw)) == expected, str(cw)
-            assert fields(is_primitive(linear)) == expected, str(linear)
+            assert fields(cw) == expected, str(cw)
+            assert fields(linear) == expected, str(linear)
 
 
 @settings(max_examples=40)
@@ -338,6 +315,6 @@ def test_verdicts_pinned(name, inputs):
     digest = hashlib.sha256()
     for w in inputs():
         v = is_primitive(w)
-        entry = [str(w), v.is_primitive, v.is_primitive_power, v.reduction_trace, str(v.power_root)]
+        entry = [str(w), v.is_primitive, v.is_primitive_power, v.reduction_trace, str(power_root(w))]
         digest.update(json.dumps(entry).encode())
     assert digest.hexdigest() == PINNED_VERDICTS[name]

@@ -1,5 +1,7 @@
 """Tests for the batch verification harness."""
 
+import hashlib
+
 import pytest
 
 from goeritz.verify import (
@@ -45,10 +47,38 @@ def _brute_canonical(n: int) -> set[tuple[int, ...]]:
     return out
 
 
+def _prefixes(k: int) -> list[tuple[int, ...]]:
+    """Every reduced word of length k whose letters are all >= its first."""
+    words = [(c,) for c in range(4)] if k else [()]
+    for _ in range(k - 1):
+        words = [w + (c,) for w in words for c in range(w[0], 4) if c != w[-1] ^ 1]
+    return words
+
+
+# sha256 of the ordered output of canonical_classes(n) for n <= 13 and of
+# every slice (n, prefix) with n in 10..12 and a prefix of length n - 4.
+PINNED_CLASSES = "29c7a7163eb8a0b7ac04e9179c7c559700476851357caa7775ac328b88766755"
+
+
 class TestCanonicalClasses:
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_brute_force(self, n):
-        assert set(canonical_classes(n)) == _brute_canonical(n)
+        brute = sorted(_brute_canonical(n))
+        assert list(canonical_classes(n)) == brute
+        for k in range(1, n + 1):
+            for prefix in _prefixes(k):
+                expected = [c for c in brute if c[:k] == prefix]
+                assert list(canonical_classes(n, prefix)) == expected, prefix
+
+    def test_output_pinned(self):
+        cases = [(n, ()) for n in range(14)]
+        cases += [(n, prefix) for n in range(10, 13) for prefix in _prefixes(n - 4)]
+        digest = hashlib.sha256()
+        for n, prefix in cases:
+            digest.update(repr((n, prefix)).encode())
+            for letters in canonical_classes(n, prefix):
+                digest.update(bytes(letters))
+        assert digest.hexdigest() == PINNED_CLASSES
 
     def test_known_counts(self):
         counts = [sum(1 for _ in canonical_classes(n)) for n in range(1, 7)]
