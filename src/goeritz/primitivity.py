@@ -10,11 +10,13 @@ answer and leaves one letter per s-syllable.  Repeating this is the
 Euclidean algorithm on syllables (Osborne and Zieschang 1981; Cohen,
 Metzler and Zimmermann 1981): the class is primitive iff the descent ends
 at a single letter, and a primitive power iff it ends at a single
-syllable.  Each level at least halves the syllable count; it tests the
-shape with one count and one set, and cuts the next level's runs where
-t's exponent changes.  Trace labels are formatted straight from
-(generator, exponent); power_root builds the root of a primitive power
-on request.
+syllable.  Each level at least halves the syllable count.  Level 0
+reads the signed syllable exponents and tests the shape with one count
+and one set.  Every later level is a positive word, held as bytes of x
+and y: C-level `in` and `count` test its shape, and one `replace` and
+one `translate` spell the next level.  Trace labels are formatted
+straight from (generator, exponent); power_root builds the root of a
+primitive power on request.
 
 Whitehead's four rank-2 moves, x -> xy, x -> xy^-1, y -> yx and
 y -> yx^-1, stay as the independent reference: enumerate_primitives
@@ -24,8 +26,8 @@ closes the single letters under them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter, sub
+from itertools import groupby, repeat
+from operator import eq, itemgetter
 
 from .words import CyclicWord, Word, _least_rotation, _syllable_text, parse_word
 
@@ -140,6 +142,53 @@ class PrimitivityVerdict:
     reduction_trace: tuple[tuple[str, int], ...]
 
 
+# The other letter of a positive level.
+_SWAP = {b"x": b"y", b"y": b"x"}
+# Tables that spell one level's blocks as the next level's letters, A as
+# x and B as y: from a positive level, where each A is left as its
+# separator s and each B is replaced by the marker B; and from level 0,
+# which flags each t-exponent equal to n (an A) with 1.
+_BLOCKS = {s: bytes.maketrans(s + b"B", b"xy") for s in (b"x", b"y")}
+_FLAGS = bytes.maketrans(b"\0\1", b"yx")
+
+
+def _descend(word: bytes, trace: list[tuple[str, int]]) -> int:
+    """The descent on a positive word of x and y letters that uses both.
+
+    Each level is rotated to its first change, so no run wraps.  The
+    separator s is the first letter if s s is absent, or else the other
+    letter if its pair is absent.  With t the other letter, size =
+    count(s) and n = floor(t-letters / size), the word is a product of
+    blocks A = s t^n and B = s t^(n+1) exactly when t^(n+2) is absent
+    and count(s t^(n+1)) is the remainder.  One replace and one
+    translate spell the next level, A as x and B as y.  Appends each
+    level to trace and returns k when the descent ends at the syllable
+    x^k, or 0 when a level lacks the shape.
+    """
+    while True:
+        if word[0] == word[-1]:
+            cut = len(word) - len(word.lstrip(word[:1]))
+            word = word[cut:] + word[:cut]
+        s = word[:1]
+        if s + s in word:
+            s = _SWAP[s]
+            if s + s in word:
+                return 0
+            # The blocks start at s, so the last letter, an s, goes first.
+            word = word[-1:] + word[:-1]
+        t = _SWAP[s]
+        size = word.count(s)
+        n, extra = divmod(len(word) - size, size)
+        b = s + t * (n + 1)
+        if t * (n + 2) in word or word.count(b) != extra:
+            return 0
+        g, h = s.decode(), t.decode()
+        trace.append((f"x->{g}{_syllable_text(h, n)}, y->{g}{h}^{n + 1}", size))
+        if not extra:
+            return size
+        word = word.replace(b, b"B").translate(_BLOCKS[s], t)
+
+
 def is_primitive(w: CyclicWord | Word | str) -> PrimitivityVerdict:
     """Decide whether the class of w is primitive and whether it is a
     primitive power u^k (u primitive, k >= 1).
@@ -148,34 +197,26 @@ def is_primitive(w: CyclicWord | Word | str) -> PrimitivityVerdict:
     reduction trace: the label "x->A, y->B" is the substitution that maps
     the next level's word back onto this level's, and letters is the
     next level's length.  A descent that ends at a syllable g^k makes w
-    a power u^k.
+    a power u^k.  Level 0 reads signed syllable exponents; every later
+    level is a positive word, which _descend runs on bytes.
     """
     first, exps = _cyclic_exponents(w)
-    trace: list[tuple[str, int]] = []
-    while len(exps) > 1:
-        shape = _shape(exps)
-        if shape is None:
-            return PrimitivityVerdict(False, False, tuple(trace))
-        off, s_exp, t, lo, hi = shape
-        s_gen = first if off == 0 else _OTHER[first]
-        t_gen = _OTHER[s_gen]
-        # n and n + step share the sign of t, so neither is 0 and each
-        # label is already reduced text.
-        n, step = (lo, 1) if lo > 0 else (hi, -1)
-        s = _syllable_text(s_gen, s_exp)
-        a, b = _syllable_text(t_gen, n), _syllable_text(t_gen, n + step)
-        size = len(t)
-        trace.append((f"x->{s}{a}, y->{s}{b}", size))
-        if lo == hi:
-            first, exps = "x", [size]
-            continue
-        # Runs of A = s t^n (x) and B = s t^(n+1) (y), cut where t changes.
-        cuts = [i for i in range(size) if t[i] != t[i - 1]]
-        first = "x" if t[cuts[0]] == n else "y"
-        exps = [*map(sub, cuts[1:], cuts), cuts[0] + size - cuts[-1]]
-    if not exps:
+    if len(exps) <= 1:
+        return PrimitivityVerdict(exps in ([1], [-1]), bool(exps), ())
+    shape = _shape(exps)
+    if shape is None:
         return PrimitivityVerdict(False, False, ())
-    return PrimitivityVerdict(abs(exps[0]) == 1, True, tuple(trace))
+    off, s_exp, t, lo, hi = shape
+    s_gen = first if off == 0 else _OTHER[first]
+    t_gen = _OTHER[s_gen]
+    # n and n + step share the sign of t, so neither is 0 and each
+    # label is already reduced text.
+    n, step = (lo, 1) if lo > 0 else (hi, -1)
+    s = _syllable_text(s_gen, s_exp)
+    a, b = _syllable_text(t_gen, n), _syllable_text(t_gen, n + step)
+    trace = [(f"x->{s}{a}, y->{s}{b}", len(t))]
+    k = len(t) if lo == hi else _descend(bytes(map(eq, t, repeat(n))).translate(_FLAGS), trace)
+    return PrimitivityVerdict(k == 1, k > 0, tuple(trace))
 
 
 def power_root(w: CyclicWord | Word | str) -> Word | None:

@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .lens import Classification, LensSpace, check_pair, division_window, invariants
-from .primitivity import is_primitive
+from .primitivity import _descend
 from .words import Word, _syllable_text
 
 # Longest tree word find_bridge builds; the corridor labels grow with its
@@ -50,30 +50,25 @@ class NotForestError(Exception):
 
 @dataclass(frozen=True)
 class Shell:
-    """The words E_0 .. E_p of one shell, each with its text cached.
-
-    shapes[k] is the first level of the primitivity descent on E_k,
-    oz_form_check(E_k), read off the gaps as shell_words builds them.
-    """
+    """The words E_0 .. E_p of one shell, each with its text cached."""
 
     p: int
     qbar: int
     words: tuple[Word, ...]
-    shapes: tuple[bool, ...]
 
     def word(self, k: int) -> Word:
         return self.words[k]
 
     @cached_property
     def primitive_indices(self) -> frozenset[int]:
-        """Indices k whose word E_k the primitivity oracle accepts.  A word
-        without the shape is rejected at the descent's first level, so
-        only the words with it are decided."""
-        return frozenset(
-            k
-            for k, (w, shape) in enumerate(zip(self.words, self.shapes))
-            if shape and is_primitive(w).is_primitive
-        )
+        """Indices k whose word E_k the primitivity oracle accepts."""
+        return shell_primitive_indices(self.p, self.qbar)
+
+
+def _check_shell(p: int, qbar: int) -> None:
+    check_pair(p, qbar)
+    if p > MAX_SHELL_P:
+        raise ValueError(f"shell p = {p} is above the bound {MAX_SHELL_P}")
 
 
 def shell_words(p: int, qbar: int) -> Shell:
@@ -85,25 +80,15 @@ def shell_words(p: int, qbar: int) -> Shell:
     splits one gap y^(b-a) into y^(r-a) x y^(b-r).  The syllables
     alternate x with positive powers of y, so they are reduced as built,
     and their texts are spliced the same way.
-
-    With x the separator of exponent 1, E_k (k >= 1) has the
-    Osborne-Zieschang shape iff its gaps differ by at most 1, so the
-    shape is read off a count of each gap length; by the three-gap
-    theorem (Sos 1958) there are never more than three.  E_0 = y^p is a
-    proper power and has no shape.
     """
-    check_pair(p, qbar)
-    if p > MAX_SHELL_P:
-        raise ValueError(f"shell p = {p} is above the bound {MAX_SHELL_P}")
+    _check_shell(p, qbar)
     residues = [0]
-    gaps = {p: 1}
     syllables: list[tuple[str, int]] = [("x", 1), ("y", p)]
     texts = ["x", _syllable_text("y", p)]
     words = [
         Word.from_reduced((("y", p),), texts[1]),
         Word.from_reduced(tuple(syllables), "".join(texts)),
     ]
-    shapes = [False, True]
     for k in range(1, p):
         r = k * qbar % p
         j = bisect(residues, r)
@@ -112,15 +97,36 @@ def shell_words(p: int, qbar: int) -> Shell:
         syllables[2 * j - 1 : 2 * j] = [("y", r - a), ("x", 1), ("y", b - r)]
         texts[2 * j - 1 : 2 * j] = [_syllable_text("y", r - a), "x", _syllable_text("y", b - r)]
         residues.insert(j, r)
-        if gaps[b - a] == 1:
-            del gaps[b - a]
-        else:
-            gaps[b - a] -= 1
-        gaps[r - a] = gaps.get(r - a, 0) + 1
-        gaps[b - r] = gaps.get(b - r, 0) + 1
         words.append(Word.from_reduced(tuple(syllables), "".join(texts)))
-        shapes.append(max(gaps) - min(gaps) <= 1)
-    return Shell(p, qbar, tuple(words), tuple(shapes))
+    return Shell(p, qbar, tuple(words))
+
+
+def _shaped_letters(p: int, qbar: int):
+    """(k, letters of E_k) for each k whose E_k has the Osborne-Zieschang
+    shape, read off the residue marks as shell_primitive_indices says."""
+    marks = bytearray(p)
+    for k in range(1, p + 1):
+        marks[(k - 1) * qbar % p] = 1
+        n = p // k
+        if b"\0" * (n + 1) not in marks and marks.count(b"\1" + b"\0" * n) == p - n * k:
+            yield k, bytes(marks).replace(b"\1", b"xy").replace(b"\0", b"y")
+
+
+def shell_primitive_indices(p: int, qbar: int) -> frozenset[int]:
+    """Indices k whose shell word E_k is primitive, decided without
+    building a Word.
+
+    marks[r] is 1 for the residues {0, qbar, .., (k-1) qbar mod p}, so a
+    gap g is a 1 and g - 1 zeros, and E_k spells each 1 as xy and each 0
+    as y.  With x the separator, E_k (k >= 1) has the shape, the first
+    level of the descent, iff its gaps are n or n + 1 for n = floor(p / k):
+    no n + 1 zeros in a row, and p - n k gaps of n + 1.  By the three-gap
+    theorem (Sos 1958) there are never more than three gap lengths.
+    E_0 = y^p is a proper power and has no shape.  Only the shaped
+    words' letters run the descent, from level 0.
+    """
+    _check_shell(p, qbar)
+    return frozenset(k for k, letters in _shaped_letters(p, qbar) if _descend(letters, []) == 1)
 
 
 class PrincipalVertex(NamedTuple):

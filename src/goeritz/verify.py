@@ -19,7 +19,7 @@ from math import gcd
 from .lens import Classification, LensSpace, division_window, invariants, modular_partner
 from .obstructions import certify_nonprimitive
 from .primitivity import enumerate_primitives, is_primitive, is_primitive_power, oz_form_check
-from .shell_bridge import NotForestError, find_bridge, shell_words, vertex_word
+from .shell_bridge import NotForestError, find_bridge, shell_primitive_indices, vertex_word
 from .words import CyclicWord
 
 DEFAULT_SEED = 20260816
@@ -208,14 +208,15 @@ def check_obstruction_soundness(
 
 
 def check_shell_primitivity(max_p: int = 50) -> CheckResult:
-    """Oracle-primitive shell indices match {1, q', p - q', p - 1}."""
+    """Oracle-primitive shell indices match {1, q', p - q', p - 1}.  The
+    indices are read from residue marks, so no word or text is built."""
 
     def cases():
         for p in range(2, max_p + 1):
-            for qbar in range(2, p // 2 + 1):
+            for qbar in range(1, p // 2 + 1):
                 if gcd(p, qbar) != 1:
                     continue
-                actual = shell_words(p, qbar).primitive_indices
+                actual = shell_primitive_indices(p, qbar)
                 partner = modular_partner(p, qbar)
                 expected = {1, partner, p - partner, p - 1}
                 yield None if actual == expected else {

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import goeritz.primitivity as primitivity
 from goeritz.primitivity import (
     MAX_ENUMERATION_LENGTH,
     MOVE_IDS,
@@ -147,26 +146,6 @@ class TestPrimitivePower:
             assert is_primitive_power(w**k).is_primitive_power
 
 
-class TestLazyPowerRoot:
-    @pytest.fixture
-    def root_calls(self, monkeypatch):
-        calls = []
-        build = primitivity._power_root
-
-        def counted(*args):
-            calls.append(args)
-            return build(*args)
-
-        monkeypatch.setattr(primitivity, "_power_root", counted)
-        return calls
-
-    def test_shell_indices_build_no_root(self, root_calls):
-        shell = shell_words(161, 50)
-        assert len(shell.primitive_indices) == 4
-        assert is_primitive(shell.word(160)).is_primitive_power
-        assert root_calls == []
-
-
 class TestOzForm:
     def test_shell_word(self):
         assert oz_form_check("(xy^5)^4xy^4")
@@ -300,17 +279,41 @@ def _corridor_inputs():
             yield vertex_word(qbar, v.m_exp, v.n_exp)
 
 
+def _class_inputs():
+    for n in range(1, 12):
+        for letters in canonical_classes(n):
+            yield CyclicWord(letters)
+
+
+def _long_shell_inputs():
+    for p in (199, 200):
+        for qbar in range(1, p):
+            if gcd(p, qbar) == 1:
+                yield from shell_words(p, qbar).words
+
+
 # sha256 of (word, is_primitive, is_primitive_power, reduction_trace,
-# power_root) over long words, where the Whitehead agreement above does
-# not reach: every shell word with p <= 60 (45,331 words), and every
-# corridor word of the minimal bridges with p <= 100 (10,997 words).
+# power_root): every shell word with p <= 60 (45,331 words), every
+# corridor word of the minimal bridges with p <= 100 (10,997 words),
+# every canonical class of length <= 11 (25,626 classes, signed words
+# included), and every shell word with p in {199, 200} (55,680 words).
 PINNED_VERDICTS = {
     "shell": "f7141a039fc256668bac255dac312786b76fa3d3c10d710ca5e8b14ac3b9cb1f",
     "corridor": "7e366c86cebd7dfb779e01ab692040cc86b57224d2b81cba063669cd306fb216",
+    "class": "caef3274e613ae1c0b1d5ce0836c736e8259425014798c1ddd798f47fb794505",
+    "long-shell": "d88354d86f7c6a7f05cae6b808a78eb27eac7b0ba807e5ceea6ee15e3d9e77e7",
 }
 
 
-@pytest.mark.parametrize("name, inputs", [("shell", _shell_inputs), ("corridor", _corridor_inputs)])
+@pytest.mark.parametrize(
+    "name, inputs",
+    [
+        ("shell", _shell_inputs),
+        ("corridor", _corridor_inputs),
+        ("class", _class_inputs),
+        ("long-shell", _long_shell_inputs),
+    ],
+)
 def test_verdicts_pinned(name, inputs):
     digest = hashlib.sha256()
     for w in inputs():

@@ -19,10 +19,12 @@ from goeritz.shell_bridge import (
     E_WORD,
     NotForestError,
     PrincipalVertex,
+    _shaped_letters,
     bridge_end_homology,
     bridge_report,
     find_bridge,
     principal_vertex,
+    shell_primitive_indices,
     shell_words,
     vertex_word,
 )
@@ -80,6 +82,13 @@ class TestShellWords:
             shell_words(7, 0)
         with pytest.raises(ValueError):
             shell_words(7, 7)
+
+    def test_indices_reject_bad_input(self):
+        for p, qbar in [(6, 3), (7, 0), (7, 7)]:
+            with pytest.raises(ValueError, match="need coprime"):
+                shell_primitive_indices(p, qbar)
+        with pytest.raises(ValueError, match="bound"):
+            shell_primitive_indices(MAX_SHELL_P + 1, 1)
 
     def test_matches_sorted_residue_build(self):
         for p, qbar in coprime_pairs(60) + [(200, 77), (301, 150), (500, 123)]:
@@ -145,11 +154,14 @@ class TestIncrementalShell:
             for k, w in enumerate(shell.words):
                 assert str(w) == format_word(Word(w.syllables)), (shell.p, shell.qbar, k)
 
-    def test_shape_flags_match_oz_form_check(self, max_p, qbar):
+    def test_marks_filter_matches_oz_form_check(self, max_p, qbar):
         for shell in incremental_shells(max_p, qbar):
-            assert len(shell.shapes) == shell.p + 1
-            for k, (w, shape) in enumerate(zip(shell.words, shell.shapes)):
-                assert shape == oz_form_check(w), (shell.p, shell.qbar, k)
+            shaped = dict(_shaped_letters(shell.p, shell.qbar))
+            expected = {k for k, w in enumerate(shell.words) if oz_form_check(w)}
+            assert shaped.keys() == expected, (shell.p, shell.qbar)
+            for k, letters in shaped.items():
+                spelled = "".join(g * e for g, e in shell.word(k).syllables)
+                assert letters.decode() == spelled, (shell.p, shell.qbar, k)
 
     def test_primitive_indices_match_oracle_on_every_word(self, max_p, qbar):
         for shell in incremental_shells(max_p, qbar):
@@ -322,7 +334,6 @@ class TestFindBridge:
             assert (bridge.m, bridge.r) == divmod(space.p, qbar)
             e, d = bridge_end_homology(bridge)
             assert e == 1 and d == qbar
-            assert d != e
             assert is_primitive(bridge.d_word).is_primitive
 
     def test_length_bound(self):
