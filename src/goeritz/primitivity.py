@@ -15,8 +15,8 @@ reads the signed syllable exponents and tests the shape with one count
 and one set.  Every later level is a positive word, held as bytes of x
 and y: C-level `in` and `count` test its shape, and one `replace` and
 one `translate` spell the next level.  Trace labels are formatted
-straight from (generator, exponent); power_root builds the root of a
-primitive power on request.
+straight from (generator, exponent).  The least rotation of u^k is
+(least rotation of u)^k, so power_root reads u off the canonical one.
 
 Whitehead's four rank-2 moves, x -> xy, x -> xy^-1, y -> yx and
 y -> yx^-1, stay as the independent reference: enumerate_primitives
@@ -26,10 +26,10 @@ closes the single letters under them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby, repeat
+from itertools import chain, groupby, repeat
 from operator import eq, itemgetter
 
-from .words import CyclicWord, Word, _least_rotation, _syllable_text, parse_word
+from .words import CyclicWord, Word, _syllable_text, parse_word
 
 MAX_ENUMERATION_LENGTH = 20
 
@@ -47,31 +47,10 @@ _OTHER = {"x": "y", "y": "x"}
 _exponent = itemgetter(1)
 
 
-def _reduce_letters(codes: list[int]) -> tuple[int, ...]:
-    """Freely reduce, then cancel across the wrap to cyclic reducedness."""
-    stack: list[int] = []
-    for c in codes:
-        if stack and stack[-1] == c ^ 1:
-            stack.pop()
-        else:
-            stack.append(c)
-    lo, hi = 0, len(stack)
-    while hi - lo >= 2 and stack[lo] == stack[hi - 1] ^ 1:
-        lo += 1
-        hi -= 1
-    return tuple(stack[lo:hi])
-
-
-def _apply_letters(letters: tuple[int, ...], sub: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    out: list[int] = []
-    for c in letters:
-        out.extend(sub[c])
-    return _reduce_letters(out)
-
-
 def apply_whitehead(w: CyclicWord, move_id: str) -> CyclicWord:
     """Image of the conjugacy class under one of the four moves."""
-    return CyclicWord(_apply_letters(w.letters, _MOVE_TABLE[move_id]))
+    sub = _MOVE_TABLE[move_id]
+    return CyclicWord.of(Word.from_letters(chain.from_iterable(map(sub.__getitem__, w.letters))))
 
 
 def _cyclic_exponents(w: CyclicWord | Word | str) -> tuple[str, list[int]]:
@@ -114,23 +93,6 @@ def _shape(exps: list[int]) -> tuple[int, int, list[int], int, int] | None:
             lo, hi = min(values), max(values)
             return (off, s[0], t, lo, hi) if hi - lo <= 1 else None
     return None
-
-
-def _power_root(first: str, exps: list[int], k: int) -> Word:
-    """The first 1/k of the canonical rotation of a primitive power.
-
-    Each generator of such a word has one sign and x's letter sorts
-    first, so the least rotation starts at an x-run, and comparing
-    rotations letter by letter compares their (x-run, y-run) pairs with
-    the longer x-run and the shorter y-run first.
-    """
-    if len(exps) == 1:
-        return Word(((first, exps[0] // k),))
-    if first == "y":
-        exps = exps[1:] + exps[:1]
-    j = 2 * _least_rotation([(-abs(a), abs(b)) for a, b in zip(exps[::2], exps[1::2])])
-    exps = exps[j:] + exps[:j]
-    return Word(tuple(zip("xy" * len(exps), exps[: len(exps) // k])))
 
 
 @dataclass(frozen=True)
@@ -220,15 +182,15 @@ def is_primitive(w: CyclicWord | Word | str) -> PrimitivityVerdict:
 
 
 def power_root(w: CyclicWord | Word | str) -> Word | None:
-    """The primitive u with w = u^k, read off the canonical rotation, or
-    None unless w is a primitive power.  The descent ends at a syllable
-    g^k, so k is the last level's length, or |g^k| when w is one syllable."""
+    """The primitive u with w = u^k, or None unless w is a primitive power:
+    the first 1/k of the canonical rotation, with k the last level's
+    length, or |w| when w is one syllable."""
     verdict = is_primitive(w)
     if not verdict.is_primitive_power:
         return None
-    first, exps = _cyclic_exponents(w)
-    k = verdict.reduction_trace[-1][1] if verdict.reduction_trace else abs(exps[0])
-    return _power_root(first, exps, k)
+    letters = CyclicWord.of(w).letters
+    k = verdict.reduction_trace[-1][1] if verdict.reduction_trace else len(letters)
+    return Word.from_letters(letters[: len(letters) // k])
 
 
 # One verdict answers both questions; both names stay public.

@@ -101,15 +101,20 @@ def shell_words(p: int, qbar: int) -> Shell:
     return Shell(p, qbar, tuple(words))
 
 
+# Spells a residue mark, a 1, as x.
+_MARK_X = bytes.maketrans(b"\1", b"x")
+
+
 def _shaped_letters(p: int, qbar: int):
-    """(k, letters of E_k) for each k whose E_k has the Osborne-Zieschang
-    shape, read off the residue marks as shell_primitive_indices says."""
+    """(k, level-1 letters of E_k) for each k whose E_k has the shape,
+    read off the residue marks as shell_primitive_indices says."""
     marks = bytearray(p)
     for k in range(1, p + 1):
         marks[(k - 1) * qbar % p] = 1
         n = p // k
-        if b"\0" * (n + 1) not in marks and marks.count(b"\1" + b"\0" * n) == p - n * k:
-            yield k, bytes(marks).replace(b"\1", b"xy").replace(b"\0", b"y")
+        long_gap = b"\1" + b"\0" * n
+        if b"\0" * (n + 1) not in marks and marks.count(long_gap) == p - n * k:
+            yield k, bytes(marks).replace(long_gap, b"y").translate(_MARK_X, b"\0")
 
 
 def shell_primitive_indices(p: int, qbar: int) -> frozenset[int]:
@@ -117,16 +122,18 @@ def shell_primitive_indices(p: int, qbar: int) -> frozenset[int]:
     building a Word.
 
     marks[r] is 1 for the residues {0, qbar, .., (k-1) qbar mod p}, so a
-    gap g is a 1 and g - 1 zeros, and E_k spells each 1 as xy and each 0
-    as y.  With x the separator, E_k (k >= 1) has the shape, the first
-    level of the descent, iff its gaps are n or n + 1 for n = floor(p / k):
-    no n + 1 zeros in a row, and p - n k gaps of n + 1.  By the three-gap
+    gap g is a 1 and g - 1 zeros, and E_k is x y^g over its gaps.  With x
+    the separator, E_k (k >= 1) has the shape, the first level of the
+    descent, iff its gaps are n or n + 1 for n = floor(p / k): no n + 1
+    zeros in a row, and p - n k gaps of n + 1.  By the three-gap
     theorem (Sos 1958) there are never more than three gap lengths.
-    E_0 = y^p is a proper power and has no shape.  Only the shaped
-    words' letters run the descent, from level 0.
+    E_0 = y^p is a proper power and has no shape.  The marks spell a
+    shaped word's level 1, x y^n as x and x y^(n+1) as y.  It is x^k when
+    p = n k, and (x y^n)^k is primitive only at k = 1.
     """
     _check_shell(p, qbar)
-    return frozenset(k for k, letters in _shaped_letters(p, qbar) if _descend(letters, []) == 1)
+    levels = _shaped_letters(p, qbar)
+    return frozenset(k for k, w in levels if w == b"x" or b"y" in w and _descend(w, []) == 1)
 
 
 class PrincipalVertex(NamedTuple):
@@ -274,16 +281,9 @@ def bridge_end_homology(bridge: Bridge) -> tuple[int, int]:
 
     The boundary of the base disk maps to +-1 and the far end to
     +-qbar in Z/p; they differ exactly when qbar is not +-1 mod p.
-    The bridge's words are never read: the result restates
-    (1, min(qbar, p - qbar)) and is not derived from the end words.
+    The bridge's words are never read.
     """
-    p = bridge.lens.p
-
-    def normalize(v: int) -> int:
-        v %= p
-        return v if 2 * v <= p else p - v
-
-    return normalize(1), normalize(bridge.qbar)
+    return 1, min(bridge.qbar, bridge.lens.p - bridge.qbar)
 
 
 def bridge_report(bridge: Bridge) -> dict:

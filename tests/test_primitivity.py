@@ -321,3 +321,27 @@ def test_verdicts_pinned(name, inputs):
         entry = [str(w), v.is_primitive, v.is_primitive_power, v.reduction_trace, str(power_root(w))]
         digest.update(json.dumps(entry).encode())
     assert digest.hexdigest() == PINNED_VERDICTS[name]
+
+
+# sha256 of the Whitehead moves: the sorted letters of every class in
+# enumerate_primitives(20) (512 classes), and (class, move, image) for
+# every canonical class of length <= 10 (9,518 classes) and each move.
+PINNED_MOVES = {
+    "closure": "5720630924d0992fb51bdd9b08c780a5a39cf2d5bd3224287469c77568163335",
+    "images": "23b62cca32c24ef2e01cd7f673064b23e3f8493176cf2496e9914b762fd96478",
+}
+
+
+def test_moves_pinned():
+    closure = hashlib.sha256()
+    for cw in sorted(enumerate_primitives(MAX_ENUMERATION_LENGTH), key=lambda w: w.letters):
+        closure.update(json.dumps(cw.letters).encode())
+    images = hashlib.sha256()
+    for n in range(1, 11):
+        for letters in canonical_classes(n):
+            cw = CyclicWord(letters)
+            for move_id in MOVE_IDS:
+                image = apply_whitehead(cw, move_id).letters
+                images.update(json.dumps([letters, move_id, image]).encode())
+    assert closure.hexdigest() == PINNED_MOVES["closure"]
+    assert images.hexdigest() == PINNED_MOVES["images"]

@@ -159,9 +159,12 @@ class TestIncrementalShell:
             shaped = dict(_shaped_letters(shell.p, shell.qbar))
             expected = {k for k, w in enumerate(shell.words) if oz_form_check(w)}
             assert shaped.keys() == expected, (shell.p, shell.qbar)
-            for k, letters in shaped.items():
-                spelled = "".join(g * e for g, e in shell.word(k).syllables)
-                assert letters.decode() == spelled, (shell.p, shell.qbar, k)
+            for k, level in shaped.items():
+                n = shell.p // k
+                gaps = [e for g, e in shell.word(k).syllables if g == "y"]
+                assert set(gaps) <= {n, n + 1}, (shell.p, shell.qbar, k)
+                spelled = "".join("x" if g == n else "y" for g in gaps)
+                assert level.decode() == spelled, (shell.p, shell.qbar, k)
 
     def test_primitive_indices_match_oracle_on_every_word(self, max_p, qbar):
         for shell in incremental_shells(max_p, qbar):
