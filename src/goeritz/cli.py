@@ -130,10 +130,10 @@ def cmd_shell(args: argparse.Namespace) -> int:
 def cmd_bridge(args: argparse.Namespace) -> int:
     space = _space(args.p, args.qbar)
     bridge = find_bridge(space, args.qbar)
-    if args.format == "json":
-        _emit_json({"p": space.p, "q": space.q, **bridge_report(bridge)})
-        return 0
     report = bridge_report(bridge)
+    if args.format == "json":
+        _emit_json({"p": space.p, "q": space.q, **report})
+        return 0
     lines = [
         f"{space!r} bridge at qbar = {bridge.qbar}"
         f" (p = {bridge.m}*{bridge.qbar} + {bridge.r})",

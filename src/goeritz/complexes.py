@@ -12,13 +12,12 @@ import json
 from dataclasses import dataclass, field
 from itertools import product
 
-from .lens import Classification, LensSpace, invariants
+from .lens import LensSpace, invariants
 from .primitivity import is_primitive
 from .shell_bridge import (
     E_WORD,
     MAX_CORRIDOR_SYLLABLES,
     Bridge,
-    NotForestError,
     Shell,
     _division,
     _walk,
@@ -92,12 +91,13 @@ def validate(complex_: SimplicialComplex2) -> None:
                 raise ValueError(f"triangle {t} is missing edge {pair}")
 
 
-def _edges_of(triangles) -> set[tuple[str, str]]:
-    out = set()
+def _triangulated(vertices, triangles, meta: dict) -> SimplicialComplex2:
+    """The complex of the given triangles, with every edge they have."""
+    edges = set()
     for t in triangles:
-        s = sorted(t)
-        out.update({(s[0], s[1]), (s[0], s[2]), (s[1], s[2])})
-    return out
+        a, b, c = sorted(t)
+        edges.update({(a, b), (a, c), (b, c)})
+    return SimplicialComplex2(tuple(vertices), tuple(edges), tuple(triangles), meta)
 
 
 def build_shell_complex(shell: Shell) -> SimplicialComplex2:
@@ -106,12 +106,7 @@ def build_shell_complex(shell: Shell) -> SimplicialComplex2:
     for k, word in enumerate(shell.words):
         vertices.append(Vertex(f"E_{k}", word, k in shell.primitive_indices))
     triangles = [("E", f"E_{i}", f"E_{i + 1}") for i in range(shell.p)]
-    return SimplicialComplex2(
-        tuple(vertices),
-        tuple(_edges_of(triangles)),
-        tuple(triangles),
-        {"kind": "shell", "p": shell.p, "qbar": shell.qbar},
-    )
+    return _triangulated(vertices, triangles, {"kind": "shell", "p": shell.p, "qbar": shell.qbar})
 
 
 def build_principal_complex(p: int, qbar: int, depth: int) -> SimplicialComplex2:
@@ -135,10 +130,9 @@ def build_principal_complex(p: int, qbar: int, depth: int) -> SimplicialComplex2
         for v in tree.values()
     ]
     triangles = [(v.left, v.right, v.label) for v in tree.values() if v.left is not None]
-    return SimplicialComplex2(
-        tuple(vertices),
-        tuple(_edges_of(triangles)),
-        tuple(triangles),
+    return _triangulated(
+        vertices,
+        triangles,
         {"kind": "principal", "p": p, "qbar": qbar, "m": m, "r": r, "depth": depth},
     )
 
@@ -176,10 +170,9 @@ def build_bridge_corridor(bridge: Bridge) -> SimplicialComplex2:
         tuple(rename.get(label, label) for label in (v.left, v.right, v.label))
         for v in bridge.walk[1:]
     ]
-    return SimplicialComplex2(
-        tuple(vertices),
-        tuple(_edges_of(triangles)),
-        tuple(triangles),
+    return _triangulated(
+        vertices,
+        triangles,
         {
             "kind": "bridge",
             "p": bridge.lens.p,
@@ -204,9 +197,7 @@ def build_tree_of_trees_ball(
         raise ValueError(f"radius must be within 0..{MAX_BALL_RADIUS}")
     if not 1 <= branching <= MAX_BALL_BRANCHING:
         raise ValueError(f"branching must be within 1..{MAX_BALL_BRANCHING}")
-    inv = invariants(space)
-    if inv.classification is not Classification.Forest:
-        raise NotForestError(f"{space!r} has a contractible primitive disk complex")
+    report = bridge_report(find_bridge(space, space.q))
     vertices = [Vertex("T")]
     edges = []
     frontier = ["T"]
@@ -221,7 +212,7 @@ def build_tree_of_trees_ball(
         frontier = next_frontier
     quotient = (
         "single edge, two vertices"
-        if inv.q_squared_is_one
+        if invariants(space).q_squared_is_one
         else "single edge, one vertex (loop)"
     )
     return SimplicialComplex2(
@@ -236,7 +227,7 @@ def build_tree_of_trees_ball(
             "branching": branching,
             "truncated": True,
             "quotient": quotient,
-            "bridge": bridge_report(find_bridge(space, space.q)),
+            "bridge": report,
         },
     )
 

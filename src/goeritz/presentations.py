@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 from math import gcd
 from typing import Union
 
@@ -314,24 +314,14 @@ class AbelianGroup:
 
     def __str__(self) -> str:
         parts = []
-        run: list[int] = []
-        for d in self.torsion:
-            if run and run[0] != d:
-                parts.append(self._torsion_text(run))
-                run = []
-            run.append(d)
-        if run:
-            parts.append(self._torsion_text(run))
+        for d, run in groupby(self.torsion):
+            k = len(list(run))
+            parts.append(f"Z/{d}" if k == 1 else f"(Z/{d})^{k}")
         if self.rank == 1:
             parts.append("Z")
         elif self.rank > 1:
             parts.append(f"Z^{self.rank}")
         return " + ".join(parts) if parts else "0"
-
-    @staticmethod
-    def _torsion_text(run: list[int]) -> str:
-        base = f"Z/{run[0]}"
-        return base if len(run) == 1 else f"({base})^{len(run)}"
 
 
 def abelianization(presentation: GroupPresentation) -> AbelianGroup:

@@ -26,10 +26,10 @@ closes the single letters under them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, groupby, repeat
+from itertools import chain, repeat
 from operator import eq, itemgetter
 
-from .words import CyclicWord, Word, _syllable_text, parse_word
+from .words import CyclicWord, Word, _letter_syllables, _syllable_text, parse_word
 
 MAX_ENUMERATION_LENGTH = 20
 
@@ -59,12 +59,7 @@ def _cyclic_exponents(w: CyclicWord | Word | str) -> tuple[str, list[int]]:
     generators, and so do the last and the first unless there is one."""
     if isinstance(w, str):
         w = parse_word(w)
-    if isinstance(w, CyclicWord):
-        syllables = [
-            ("xy"[c >> 1], len(list(run)) * (1 - 2 * (c & 1))) for c, run in groupby(w.letters)
-        ]
-    else:
-        syllables = w.syllables
+    syllables = _letter_syllables(w.letters) if isinstance(w, CyclicWord) else w.syllables
     exps = list(map(_exponent, syllables))
     lo, hi = 0, len(exps)
     # An odd count of alternating syllables starts and ends with the same generator.

@@ -207,24 +207,29 @@ def check_obstruction_soundness(
     )
 
 
+def _coprime_pairs(max_p: int):
+    """Every (p, q) with 2 <= p <= max_p, 1 <= q <= p/2 and gcd 1, in order."""
+    for p in range(2, max_p + 1):
+        for q in range(1, p // 2 + 1):
+            if gcd(p, q) == 1:
+                yield p, q
+
+
 def check_shell_primitivity(max_p: int = 50) -> CheckResult:
     """Oracle-primitive shell indices match {1, q', p - q', p - 1}.  The
     indices are read from residue marks, so no word or text is built."""
 
     def cases():
-        for p in range(2, max_p + 1):
-            for qbar in range(1, p // 2 + 1):
-                if gcd(p, qbar) != 1:
-                    continue
-                actual = shell_primitive_indices(p, qbar)
-                partner = modular_partner(p, qbar)
-                expected = {1, partner, p - partner, p - 1}
-                yield None if actual == expected else {
-                    "p": p,
-                    "qbar": qbar,
-                    "expected": sorted(expected),
-                    "actual": sorted(actual),
-                }
+        for p, qbar in _coprime_pairs(max_p):
+            actual = shell_primitive_indices(p, qbar)
+            partner = modular_partner(p, qbar)
+            expected = {1, partner, p - partner, p - 1}
+            yield None if actual == expected else {
+                "p": p,
+                "qbar": qbar,
+                "expected": sorted(expected),
+                "actual": sorted(actual),
+            }
 
     return _suite("shell-primitivity", f"all coprime shells with p <= {max_p}", cases())
 
@@ -242,17 +247,14 @@ def check_oz_necessity(max_len: int = 16) -> CheckResult:
 def forest_windows(max_p: int):
     """Every forest space with p <= max_p, with each qbar in {q, q'}
     whose division window is non-empty."""
-    for p in range(2, max_p + 1):
-        for q in range(1, p // 2 + 1):
-            if gcd(p, q) != 1:
-                continue
-            space = LensSpace(p, q)
-            inv = invariants(space)
-            if inv.classification is not Classification.Forest:
-                continue
-            for qbar in sorted({space.q, inv.q_prime}):
-                if division_window(p, qbar) is not None:
-                    yield space, qbar
+    for p, q in _coprime_pairs(max_p):
+        space = LensSpace(p, q)
+        inv = invariants(space)
+        if inv.classification is not Classification.Forest:
+            continue
+        for qbar in sorted({space.q, inv.q_prime}):
+            if division_window(p, qbar) is not None:
+                yield space, qbar
 
 
 def check_bridges(max_p: int = 60) -> CheckResult:
@@ -291,26 +293,21 @@ def check_classification(max_p: int = 200) -> CheckResult:
     """The residue, window, and partner views of the case split agree."""
 
     def cases():
-        for p in range(2, max_p + 1):
-            for q in range(1, p // 2 + 1):
-                if gcd(p, q) != 1:
-                    continue
-                pm1_q = q == 1 or p % q in (1, q - 1)
-                window_empty = division_window(p, q) is None
-                partner = modular_partner(p, q)
-                pm1_partner = partner == 1 or p % partner in (1, partner - 1)
-                forest = (
-                    invariants(LensSpace(p, q)).classification is Classification.Forest
-                )
-                yield None if pm1_q == window_empty == pm1_partner == (not forest) else {
-                    "p": p,
-                    "q": q,
-                    "qPrime": partner,
-                    "pm1ModQ": pm1_q,
-                    "windowEmpty": window_empty,
-                    "pm1ModQPrime": pm1_partner,
-                    "forest": forest,
-                }
+        for p, q in _coprime_pairs(max_p):
+            pm1_q = q == 1 or p % q in (1, q - 1)
+            window_empty = division_window(p, q) is None
+            partner = modular_partner(p, q)
+            pm1_partner = partner == 1 or p % partner in (1, partner - 1)
+            forest = invariants(LensSpace(p, q)).classification is Classification.Forest
+            yield None if pm1_q == window_empty == pm1_partner == (not forest) else {
+                "p": p,
+                "q": q,
+                "qPrime": partner,
+                "pm1ModQ": pm1_q,
+                "windowEmpty": window_empty,
+                "pm1ModQPrime": pm1_partner,
+                "forest": forest,
+            }
 
     return _suite("classification-equivalence", f"all coprime (p,q) with p <= {max_p}", cases())
 

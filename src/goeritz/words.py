@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from typing import Iterable, NamedTuple
 
 GENERATORS = ("x", "y")
@@ -30,12 +31,9 @@ def letter_inverse(code: int) -> int:
     return code ^ 1
 
 
-def letter_gen(code: int) -> str:
-    return GENERATORS[code >> 1]
-
-
-def letter_sign(code: int) -> int:
-    return -1 if code & 1 else 1
+def _letter_syllables(codes: Iterable[int]) -> list[tuple[str, int]]:
+    """One syllable per run of equal letter codes, unreduced across runs."""
+    return [(GENERATORS[c >> 1], len(list(run)) * (1 - 2 * (c & 1))) for c, run in groupby(codes)]
 
 
 class AbelianPair(NamedTuple):
@@ -105,7 +103,7 @@ class Word:
 
     @classmethod
     def from_letters(cls, codes: Iterable[int]) -> "Word":
-        return cls(tuple((letter_gen(c), letter_sign(c)) for c in codes))
+        return cls(tuple(_letter_syllables(codes)))
 
     def __mul__(self, other: "Word") -> "Word":
         return Word(self.syllables + other.syllables)
@@ -273,7 +271,8 @@ class CyclicWord:
     @classmethod
     def from_canonical(cls, letters: tuple[int, ...]) -> "CyclicWord":
         """Wrap letters that are already cyclically reduced and in least
-        rotation, unchecked, as verify.canonical_classes yields them."""
+        rotation, unchecked, as verify.canonical_classes and cyclic_reduce
+        build them."""
         word = object.__new__(cls)
         object.__setattr__(word, "letters", letters)
         return word
@@ -321,4 +320,4 @@ def cyclic_reduce(w: Word) -> tuple[CyclicWord, Word]:
     core = letters[lo:hi]
     k = _least_rotation(core)
     conjugator = Word.from_letters(letters[: lo + k])
-    return CyclicWord(core[k:] + core[:k]), conjugator
+    return CyclicWord.from_canonical(core[k:] + core[:k]), conjugator

@@ -438,6 +438,7 @@ class TestAbelianization:
         assert str(AbelianGroup(2, ())) == "Z^2"
         assert str(AbelianGroup(0, (2,))) == "Z/2"
         assert str(AbelianGroup(1, (2, 4))) == "Z/2 + Z/4 + Z"
+        assert str(AbelianGroup(0, (2, 4, 4))) == "Z/2 + (Z/4)^2"
 
 
 class TestHeegaardReport:

@@ -63,6 +63,11 @@ class TestReduction:
     def test_letters_roundtrip(self, w: Word):
         assert Word.from_letters(w.letters()) == w
 
+    def test_letters_cancel_across_runs(self):
+        assert str(Word.from_letters((0, 0, 2, 3, 1, 2))) == "xy"
+        assert Word.from_letters((0, 1, 0, 0)).syllables == (("x", 2),)
+        assert Word.from_letters(()).is_identity()
+
 
 class TestParse:
     def test_power_expansion(self):
