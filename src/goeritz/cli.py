@@ -33,8 +33,8 @@ from .presentations import (
     abelianization,
     goeritz_presentation,
 )
-from .shell_bridge import NotForestError, bridge_report, find_bridge, shell_words
-from .verify import DEFAULT_SEED, run_all
+from .shell_bridge import MAX_SHELL_P, NotForestError, bridge_report, find_bridge, shell_words
+from .verify import DEFAULT_SEED, MAX_EXHAUSTIVE_LEN, run_all
 
 
 def _space(p: int, q: int) -> LensSpace:
@@ -306,8 +306,8 @@ def _parser() -> argparse.ArgumentParser:
     cmd.set_defaults(func=cmd_complex)
 
     cmd = sub.add_parser("verify", help="run the verification sweeps")
-    cmd.add_argument("--max-p", type=int, default=60)
-    cmd.add_argument("--max-len", type=int, default=14)
+    cmd.add_argument("--max-p", type=int, default=60, help=f"at most {MAX_SHELL_P}")
+    cmd.add_argument("--max-len", type=int, default=14, help=f"0..{MAX_EXHAUSTIVE_LEN}")
     cmd.add_argument("--samples", type=int, default=100_000)
     cmd.add_argument("--seed", type=int, default=DEFAULT_SEED)
     cmd.add_argument("--jobs", type=int, default=1, help="worker processes, 1..CPU count")

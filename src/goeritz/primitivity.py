@@ -18,39 +18,25 @@ one `translate` spell the next level.  Trace labels are formatted
 straight from (generator, exponent).  The least rotation of u^k is
 (least rotation of u)^k, so power_root reads u off the canonical one.
 
-Whitehead's four rank-2 moves, x -> xy, x -> xy^-1, y -> yx and
-y -> yx^-1, stay as the independent reference: enumerate_primitives
-closes the single letters under them.
+enumerate_primitives needs no descent: the primitive classes are the
+Christoffel words with their sign choices, one class per coprime pair of
+letter counts, so it lists them directly and stays independent of
+is_primitive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import product, repeat
+from math import gcd
 from operator import eq, itemgetter
 
 from .words import CyclicWord, Word, _letter_syllables, _syllable_text, parse_word
 
 MAX_ENUMERATION_LENGTH = 20
 
-# Letter substitutions, indexed by letter code x, x^-1, y, y^-1.
-_MOVES: tuple[tuple[str, tuple[tuple[int, ...], ...]], ...] = (
-    ("x->xy", ((0, 2), (3, 1), (2,), (3,))),
-    ("x->xy^-1", ((0, 3), (2, 1), (2,), (3,))),
-    ("y->yx", ((0,), (1,), (2, 0), (1, 3))),
-    ("y->yx^-1", ((0,), (1,), (2, 1), (0, 3))),
-)
-
-MOVE_IDS = tuple(name for name, _ in _MOVES)
-_MOVE_TABLE = dict(_MOVES)
 _OTHER = {"x": "y", "y": "x"}
 _exponent = itemgetter(1)
-
-
-def apply_whitehead(w: CyclicWord, move_id: str) -> CyclicWord:
-    """Image of the conjugacy class under one of the four moves."""
-    sub = _MOVE_TABLE[move_id]
-    return CyclicWord.of(Word.from_letters(chain.from_iterable(map(sub.__getitem__, w.letters))))
 
 
 def _cyclic_exponents(w: CyclicWord | Word | str) -> tuple[str, list[int]]:
@@ -210,27 +196,23 @@ def oz_form_check(w: CyclicWord | Word | str) -> bool:
 def enumerate_primitives(max_len: int) -> set[CyclicWord]:
     """All primitive conjugacy classes of cyclic length <= max_len.
 
-    BFS closure of the four moves from the single-letter seeds.  Complete
-    because a primitive word's Whitehead descent passes only through words
-    no longer than itself, and each move's inverse is again one of the
-    four, so the reversed path stays inside the length bound.
+    Every primitive class of F(x, y) is, up to inverting x or y, the class
+    of a Christoffel word, and there is one such class for each coprime
+    pair (a, b) of letter counts (Osborne and Zieschang 1981; Kassel and
+    Reutenauer, "Sturmian morphisms, the braid group B4, Christoffel
+    words and bases of F2", 2007).  So length n >= 2 holds 4 phi(n)
+    classes.  Letter i (from 0) of the lower Christoffel word of length
+    n with b letters y is y iff floor((i + 1) b / n) > floor(i b / n);
+    at n = 1 the pairs (1, 0) and (0, 1) give the single letters.
     """
     if max_len > MAX_ENUMERATION_LENGTH:
-        raise ValueError(
-            f"max_len {max_len} exceeds resource guard {MAX_ENUMERATION_LENGTH}"
-        )
-    if max_len < 1:
-        return set()
-    seeds = [CyclicWord((code,)) for code in range(4)]
-    seen = set(seeds)
-    frontier = list(seeds)
-    while frontier:
-        next_frontier: list[CyclicWord] = []
-        for w in frontier:
-            for move_id in MOVE_IDS:
-                image = apply_whitehead(w, move_id)
-                if image.length <= max_len and image not in seen:
-                    seen.add(image)
-                    next_frontier.append(image)
-        frontier = next_frontier
-    return seen
+        raise ValueError(f"max_len {max_len} exceeds resource guard {MAX_ENUMERATION_LENGTH}")
+    classes: set[CyclicWord] = set()
+    for n in range(1, max_len + 1):
+        for b in range(n + 1):
+            if gcd(b, n) == 1:
+                is_y = [(i + 1) * b // n > i * b // n for i in range(n)]
+                # Letter codes: x or x^-1, then y or y^-1.
+                for x, y in product((0, 1), (2, 3)):
+                    classes.add(CyclicWord(tuple(y if letter else x for letter in is_y)))
+    return classes

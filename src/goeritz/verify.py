@@ -19,10 +19,20 @@ from math import gcd
 from .lens import Classification, LensSpace, division_window, invariants, modular_partner
 from .obstructions import certify_nonprimitive
 from .primitivity import enumerate_primitives, is_primitive, is_primitive_power, oz_form_check
-from .shell_bridge import NotForestError, find_bridge, shell_primitive_indices, vertex_word
+from .shell_bridge import (
+    MAX_SHELL_P,
+    NotForestError,
+    find_bridge,
+    shell_primitive_indices,
+    vertex_word,
+)
 from .words import CyclicWord
 
 DEFAULT_SEED = 20260816
+
+# Longest exhaustive soundness sweep run_all starts: 4,181,926 classes,
+# about 8 times the default length 14's 534,444.
+MAX_EXHAUSTIVE_LEN = 16
 
 
 @dataclass
@@ -324,13 +334,19 @@ def run_all(
     Random words run to min(20, exhaustive_len + 6) letters, primitive
     classes to min(16, exhaustive_len + 2), classification to max(200, max_p).
 
-    workers must lie within 1..os.cpu_count(): a process pool forks all
-    its workers at the first submit, so the bound is checked before any
-    suite runs.
+    Every bound is checked before any suite runs: workers within
+    1..os.cpu_count(), as a process pool forks all its workers at the
+    first submit; max_p up to MAX_SHELL_P, the reach of the bridge bounds,
+    so no valid bridge is reported as a counterexample; and
+    exhaustive_len within 0..MAX_EXHAUSTIVE_LEN.
     """
     cpus = os.cpu_count() or 1
     if not 1 <= workers <= cpus:
         raise ValueError(f"jobs must be within 1..{cpus}, got {workers}")
+    if max_p > MAX_SHELL_P:
+        raise ValueError(f"max-p must be at most {MAX_SHELL_P}, got {max_p}")
+    if not 0 <= exhaustive_len <= MAX_EXHAUSTIVE_LEN:
+        raise ValueError(f"max-len must be within 0..{MAX_EXHAUSTIVE_LEN}, got {exhaustive_len}")
     return [
         check_shell_primitivity(max_p=min(max_p, 50)),
         check_obstruction_soundness(

@@ -300,6 +300,25 @@ class TestVerifyCommand:
         assert out == ""
         assert "jobs must be within 1.." in err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--max-p", "2001", "max-p must be at most 2000, got 2001"),
+            ("--max-len", "17", "max-len must be within 0..16, got 17"),
+            ("--max-len", "-3", "max-len must be within 0..16, got -3"),
+        ],
+    )
+    def test_bound_out_of_range_exits_two(self, capsys, monkeypatch, flag, value, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the bounds check")
+
+        monkeypatch.setattr("goeritz.verify.ProcessPoolExecutor", refuse)
+        monkeypatch.setattr("goeritz.verify.check_shell_primitivity", refuse)
+        code, out, err = run(capsys, *self.SMOKE, flag, value)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_empty_suite_fails_with_its_detail(self, capsys):
         code, out, _ = run(capsys, "verify", "--max-p", "10", "--max-len", "6", "--samples", "200")
         assert code == 1

@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 
 from goeritz.primitivity import (
     MAX_ENUMERATION_LENGTH,
-    MOVE_IDS,
-    apply_whitehead,
     enumerate_primitives,
     is_primitive,
     is_primitive_power,
@@ -29,6 +27,24 @@ raw_pairs = st.lists(
     max_size=8,
 )
 words = st.builds(lambda ps: Word(tuple(ps)), raw_pairs)
+
+# Whitehead's four rank-2 moves as letter substitutions, indexed by letter
+# code x, x^-1, y, y^-1.  Each is an automorphism of F(x, y), so it keeps
+# primitivity and maps u^k to an image of u to the power k.
+MOVES = {
+    "x->xy": ((0, 2), (3, 1), (2,), (3,)),
+    "x->xy^-1": ((0, 3), (2, 1), (2,), (3,)),
+    "y->yx": ((0,), (1,), (2, 0), (1, 3)),
+    "y->yx^-1": ((0,), (1,), (2, 1), (0, 3)),
+}
+MOVE_IDS = tuple(MOVES)
+
+
+def apply_whitehead(w: CyclicWord, move_id: str) -> CyclicWord:
+    """Image of the conjugacy class under one of the four moves."""
+    sub = MOVES[move_id]
+    letters = itertools.chain.from_iterable(map(sub.__getitem__, w.letters))
+    return CyclicWord.of(Word.from_letters(letters))
 
 
 def all_cyclic_words(max_len: int):
@@ -202,11 +218,11 @@ class TestEnumeratePrimitives:
         # classes of length n >= 2 correspond to coprime exponent pairs,
         # 4 sign choices each, so each length contributes 4 * phi(n)
         by_len: dict[int, int] = {}
-        for w in enumerate_primitives(9):
+        for w in enumerate_primitives(MAX_ENUMERATION_LENGTH):
             by_len[w.length] = by_len.get(w.length, 0) + 1
         phi = lambda n: sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
         assert by_len[1] == 4
-        for n in range(2, 10):
+        for n in range(2, MAX_ENUMERATION_LENGTH + 1):
             assert by_len[n] == 4 * phi(n)
 
     def test_oracle_vs_oracle(self):
@@ -221,8 +237,9 @@ def primitives() -> set[CyclicWord]:
 
 
 def whitehead_reference(cw: CyclicWord, primitives: set[CyclicWord]):
-    """(is_primitive, is_primitive_power, power_root) from the Whitehead
-    closure: a class is a primitive power iff the root on its minimal
+    """(is_primitive, is_primitive_power, power_root) by membership in the
+    Christoffel classes of enumerate_primitives, which never run the
+    descent: a class is a primitive power iff the root on its minimal
     rotational period is primitive."""
     n = cw.length
     period = next(
@@ -239,7 +256,7 @@ def fields(w):
 
 
 class TestOracleAgreement:
-    """The syllable descent against the Whitehead reference."""
+    """The syllable descent against the Christoffel reference."""
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_every_class(self, primitives, n):
@@ -264,6 +281,47 @@ def test_moves_preserve_primitivity(w: Word, move_id: str):
     cyc = CyclicWord.of(w)
     image = apply_whitehead(cyc, move_id)
     assert is_primitive(image).is_primitive == is_primitive(cyc).is_primitive
+
+
+# (seed, its power root or None): a seed is primitive iff it is its own
+# root.  Primitive words, primitive powers, and non-primitive words with
+# and without the level-0 shape.
+ORBIT_SEEDS = [
+    ("x", "x"),
+    ("xy", "xy"),
+    ("x^3", "x"),
+    ("(xy^2)^2", "xy^2"),
+    ("x^2y^2", None),
+    ("xyx^-1y^-1", None),
+    ("x^2y^-2", None),
+    ("xy^2xy^2xyxy", None),
+]
+MAX_ORBIT_LENGTH = 1500
+
+
+@pytest.mark.parametrize("seed, root", ORBIT_SEEDS)
+def test_long_words_known_by_construction(seed, root):
+    # The moves keep is_primitive and is_primitive_power, and carry the
+    # power root along: the image of u^k is the k-th power of u's image.
+    rng = random.Random(f"{DEFAULT_SEED}:{seed}")
+    for _ in range(50):
+        w = CyclicWord.of(seed)
+        u = None if root is None else CyclicWord.of(root)
+        for _ in range(rng.randint(1, 40)):
+            move_id = rng.choice(MOVE_IDS)
+            image = apply_whitehead(w, move_id)
+            if image.length > MAX_ORBIT_LENGTH:
+                break
+            w = image
+            if u is not None:
+                u = apply_whitehead(u, move_id)
+        verdict = is_primitive(w)
+        assert verdict.is_primitive == (root == seed), str(w)
+        assert verdict.is_primitive_power == (root is not None), str(w)
+        if u is None:
+            assert power_root(w) is None, str(w)
+        else:
+            assert CyclicWord.of(power_root(w)) == u, str(w)
 
 
 def _shell_inputs():

@@ -4,8 +4,10 @@ import hashlib
 
 import pytest
 
+from goeritz.shell_bridge import MAX_SHELL_P
 from goeritz.verify import (
     DEFAULT_SEED,
+    MAX_EXHAUSTIVE_LEN,
     CheckResult,
     _exhaustive_chunks,
     _random_letters,
@@ -209,6 +211,36 @@ class TestRunAll:
         assert failed[0].counterexample == {"word": "x"}
         assert failed[0].checked == 1
         assert failed[0].detail == "primitive classes of length <= 6"
+
+    @pytest.fixture
+    def suites_refused(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a suite started")
+
+        for suite in (
+            "check_shell_primitivity",
+            "check_obstruction_soundness",
+            "check_oz_necessity",
+            "check_bridges",
+            "check_classification",
+        ):
+            monkeypatch.setattr(f"goeritz.verify.{suite}", refuse)
+
+    @pytest.mark.parametrize(
+        "bound, message",
+        [
+            ({"max_p": MAX_SHELL_P + 1}, "max-p must be at most 2000, got 2001"),
+            ({"exhaustive_len": MAX_EXHAUSTIVE_LEN + 1}, "max-len must be within 0..16, got 17"),
+            ({"exhaustive_len": -1}, "max-len must be within 0..16, got -1"),
+        ],
+    )
+    def test_bounds_checked_before_any_suite(self, suites_refused, bound, message):
+        with pytest.raises(ValueError, match=message):
+            run_all(**bound)
+
+    def test_bounds_themselves_reach_the_suites(self, suites_refused):
+        with pytest.raises(AssertionError, match="a suite started"):
+            run_all(max_p=MAX_SHELL_P, exhaustive_len=MAX_EXHAUSTIVE_LEN)
 
 
 class TestCheckResult:
