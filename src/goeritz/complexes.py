@@ -232,27 +232,44 @@ def build_tree_of_trees_ball(
     )
 
 
+def _json_list(items: list[str]) -> str:
+    """A list of already encoded items at the document's second level."""
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+
+
+def _json_rows(simplices) -> str:
+    """The edges or triangles as a list of lists of quoted labels."""
+    quote = json.encoder.encode_basestring_ascii
+    return _json_list(["[\n      " + ",\n      ".join(map(quote, s)) + "\n    ]" for s in simplices])
+
+
 def export_json(complex_: SimplicialComplex2) -> str:
-    """Canonical JSON text; stable under import_json round-trips."""
+    """Canonical JSON text; stable under import_json round-trips.
+
+    The text is json.dumps(document, indent=2) byte for byte, written
+    here because CPython runs its C encoder only when indent is None.
+    Strings go through the C function json.dumps quotes them with; meta
+    is re-indented a level, which is exact since JSON text holds no raw
+    newline inside a string.
+    """
+    quote = json.encoder.encode_basestring_ascii
     vertices = []
     for v in complex_.vertices:
-        entry: dict = {"label": v.label}
+        fields = ['"label": ' + quote(v.label)]
         if v.word is not None:
-            entry["word"] = str(v.word)
+            fields.append('"word": ' + quote(str(v.word)))
         if v.primitive is not None:
-            entry["primitive"] = v.primitive
+            fields.append('"primitive": true' if v.primitive else '"primitive": false')
         if v.m_exp is not None:
-            entry["mExp"] = v.m_exp
+            fields.append(f'"mExp": {v.m_exp}')
         if v.n_exp is not None:
-            entry["nExp"] = v.n_exp
-        vertices.append(entry)
-    document = {
-        "vertices": vertices,
-        "edges": [list(e) for e in complex_.edges],
-        "triangles": [list(t) for t in complex_.triangles],
-        "meta": complex_.meta,
-    }
-    return json.dumps(document, indent=2) + "\n"
+            fields.append(f'"nExp": {v.n_exp}')
+        vertices.append("{\n      " + ",\n      ".join(fields) + "\n    }")
+    meta = json.dumps(complex_.meta, indent=2).replace("\n", "\n  ")
+    return (
+        f'{{\n  "vertices": {_json_list(vertices)},\n  "edges": {_json_rows(complex_.edges)},'
+        f'\n  "triangles": {_json_rows(complex_.triangles)},\n  "meta": {meta}\n}}\n'
+    )
 
 
 def import_json(text: str) -> SimplicialComplex2:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import gcd
 
@@ -179,6 +178,9 @@ def _soundness_random_chunk(args: tuple[int, int, int]):
 
 def _run_chunks(worker, chunks, workers: int):
     if workers > 1:
+        # Imported here: it loads multiprocessing, which no other path needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(worker, chunks))
     else:

@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import goeritz
 from goeritz.cli import _parser, main
 from goeritz.complexes import import_json
 
@@ -293,7 +296,7 @@ class TestVerifyCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("work started before the jobs check")
 
-        monkeypatch.setattr("goeritz.verify.ProcessPoolExecutor", refuse)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", refuse)
         monkeypatch.setattr("goeritz.verify.check_shell_primitivity", refuse)
         code, out, err = run(capsys, *self.SMOKE, "--jobs", str(jobs))
         assert code == 2
@@ -312,12 +315,24 @@ class TestVerifyCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("work started before the bounds check")
 
-        monkeypatch.setattr("goeritz.verify.ProcessPoolExecutor", refuse)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", refuse)
         monkeypatch.setattr("goeritz.verify.check_shell_primitivity", refuse)
         code, out, err = run(capsys, *self.SMOKE, flag, value)
         assert code == 2
         assert out == ""
         assert message in err
+
+    def test_import_loads_no_process_pool(self):
+        # Only --jobs N with N > 1 needs the pool and multiprocessing.
+        code = (
+            "import sys, goeritz, goeritz.cli;"
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+        )
+        src = str(Path(goeritz.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
 
     def test_empty_suite_fails_with_its_detail(self, capsys):
         code, out, _ = run(capsys, "verify", "--max-p", "10", "--max-len", "6", "--samples", "200")

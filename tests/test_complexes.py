@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from math import gcd
 
 import pytest
 
@@ -22,7 +23,7 @@ from goeritz.complexes import (
 from goeritz.lens import LensSpace, division_window
 from goeritz.shell_bridge import NotForestError, find_bridge, shell_words
 from goeritz.verify import forest_windows
-from goeritz.words import Word
+from goeritz.words import Word, parse_word
 
 # (p, qbar, m, r, depth): two trees at every depth up to 8, then every
 # forest window with p <= 40 at depth 9, which holds every vertex of the
@@ -35,6 +36,29 @@ MEDIANT_CASES = [
     (p, qbar, *division_window(p, qbar), 9)
     for p, qbar in sorted({(space.p, qbar) for space, qbar in forest_windows(40)})
 ]
+
+
+def reference_json(c: SimplicialComplex2) -> str:
+    """The export as json.dumps writes it from the document dict."""
+    vertices = []
+    for v in c.vertices:
+        entry: dict = {"label": v.label}
+        if v.word is not None:
+            entry["word"] = str(v.word)
+        if v.primitive is not None:
+            entry["primitive"] = v.primitive
+        if v.m_exp is not None:
+            entry["mExp"] = v.m_exp
+        if v.n_exp is not None:
+            entry["nExp"] = v.n_exp
+        vertices.append(entry)
+    document = {
+        "vertices": vertices,
+        "edges": [list(e) for e in c.edges],
+        "triangles": [list(t) for t in c.triangles],
+        "meta": c.meta,
+    }
+    return json.dumps(document, indent=2) + "\n"
 
 
 def euler_characteristic(c: SimplicialComplex2) -> int:
@@ -57,6 +81,15 @@ class TestValidation:
         vs = (Vertex("a"), Vertex("b"))
         with pytest.raises(ValueError):
             SimplicialComplex2(vs, (("a", "b"), ("b", "a")), ())
+
+    def test_loop_edge_rejected(self):
+        with pytest.raises(ValueError, match="loop edge"):
+            SimplicialComplex2((Vertex("a"),), (("a", "a"),), ())
+
+    def test_degenerate_triangle_rejected(self):
+        vs = (Vertex("a"), Vertex("b"))
+        with pytest.raises(ValueError, match="degenerate triangle"):
+            SimplicialComplex2(vs, (("a", "b"),), (("a", "a", "b"),))
 
     def test_canonical_ordering(self):
         vs = (Vertex("b"), Vertex("a"))
@@ -261,3 +294,42 @@ class TestExports:
         b = build_principal_complex(12, 5, 3)
         assert export_json(a) == export_json(b)
         assert export_dot(a) == export_dot(b)
+
+
+class TestJsonMatchesReference:
+    """export_json writes what json.dumps(document, indent=2) writes."""
+
+    def assert_matches(self, c: SimplicialComplex2) -> None:
+        assert export_json(c) == reference_json(c)
+
+    def test_every_shell_complex(self):
+        for p in range(2, 41):
+            for qbar in range(1, p):
+                if gcd(p, qbar) == 1:
+                    self.assert_matches(build_shell_complex(shell_words(p, qbar)))
+
+    def test_corridors_and_principal_trees(self):
+        for space, qbar in forest_windows(40):
+            self.assert_matches(build_bridge_corridor(find_bridge(space, qbar)))
+            for depth in range(5):
+                self.assert_matches(build_principal_complex(space.p, qbar, depth))
+
+    @pytest.mark.parametrize("radius", [0, 2])
+    def test_tree_of_trees_balls(self, radius):
+        # meta nests the bridge report, a dict that holds lists.
+        for space in (LensSpace(12, 5), LensSpace(23, 7), LensSpace(33, 10)):
+            self.assert_matches(build_tree_of_trees_ball(space, radius, 3))
+
+    def test_empty_complex(self):
+        self.assert_matches(SimplicialComplex2((), (), ()))
+
+    def test_escapes(self):
+        # A quote, a backslash, a newline and a non-ASCII letter, in labels
+        # and in meta, take json.dumps's ensure_ascii escapes.
+        labels = ['a"', "b\\", "c\nd", "ε"]
+        self.assert_matches(SimplicialComplex2(
+            tuple(Vertex(label, parse_word("xy^-2"), i % 2 == 0) for i, label in enumerate(labels)),
+            tuple((a, b) for a in labels for b in labels if a < b),
+            (tuple(labels[:3]),),
+            {"kind": 'k"\\\nε', "nested": {"list": [1, "ε", None, True]}, "empty": {}},
+        ))

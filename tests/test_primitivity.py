@@ -293,6 +293,7 @@ ORBIT_SEEDS = [
     ("(xy^2)^2", "xy^2"),
     ("x^2y^2", None),
     ("xyx^-1y^-1", None),
+    ("x^2yx^-1y^-1", None),
     ("x^2y^-2", None),
     ("xy^2xy^2xyxy", None),
 ]
