@@ -32,9 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from itertools import groupby
 from typing import Any
 
-from .words import CyclicWord, Word
+from .words import X, X_INV, Y, Y_INV, CyclicWord, Word
 
 
 class Rule(str, Enum):
@@ -88,11 +90,22 @@ def _view(code: int, swap: bool, flip_x: bool, flip_y: bool) -> int:
     return code
 
 
-def _relabeling(swap: bool, flip_x: bool, flip_y: bool) -> tuple[Orientation, tuple[int, ...]]:
-    """The orientation, and the input letter that each pattern letter
-    x, x^-1, y, y^-1 stands for under it."""
+# The factor pairs of PP2a and of KEY1, in pattern letters.
+_PP2A = (((X, Y), (X, Y_INV)), ((Y_INV, X_INV), (Y, X_INV)))
+_KEY1 = (((X, Y), (Y, X_INV)), ((Y_INV, X_INV), (X, Y_INV)))
+
+
+def _relabeling(swap: bool, flip_x: bool, flip_y: bool) -> tuple:
+    """The orientation, the input letter that each pattern letter x,
+    x^-1, y, y^-1 stands for under it, and the PP2a and KEY1 factor
+    pairs spelled in input letters, as bytes."""
     back = {_view(code, swap, flip_x, flip_y): code for code in range(4)}
-    return Orientation(flip_x, flip_y, swap), tuple(back[k] for k in range(4))
+
+    def spell(pairs):
+        return tuple((bytes(back[c] for c in a), bytes(back[c] for c in b)) for a, b in pairs)
+
+    letters = tuple(back[k] for k in range(4))
+    return Orientation(flip_x, flip_y, swap), letters, spell(_PP2A), spell(_KEY1)
 
 
 _RELABELINGS = tuple(
@@ -104,22 +117,27 @@ _RELABELINGS = tuple(
 
 
 class _Scan:
-    """What the rules read of a cyclic word: its runs, and the first
-    position of each two-generator factor.  The canonical rotation starts
-    a run, and cyclically adjacent runs use different generators, so
-    every two-generator factor sits at a run boundary and the wrap is the
-    last boundary."""
+    """What the rules read of a cyclic word: its letters as bytes with the
+    first letter appended, and its runs.  The canonical rotation starts a
+    run, and cyclically adjacent runs use different generators, so every
+    two-generator factor sits at a run boundary, the appended letter
+    closes the wrap, and word.find gives the first run end that spells a
+    factor.  Only PP2b reads the runs, so they are built on first use."""
 
     def __init__(self, letters: tuple[int, ...]):
-        n = len(letters)
-        bounds = [i for i in range(1, n) if letters[i] != letters[i - 1]]
-        starts = [0, *bounds] if n else []
-        ends = [i - 1 for i in bounds] + [n - 1]
-        codes = [letters[i] for i in starts]
-        self.n = n
-        self.runs = [(c, a, b - a + 1) for c, a, b in zip(codes, starts, ends)]
-        factors = zip(reversed(codes), reversed(codes[1:] + codes[:1]))
-        self.first = dict(zip(factors, reversed(ends))) if bounds else {}
+        self.letters = letters
+        self.n = len(letters)
+        self.word = bytes(letters + letters[:1])
+
+    @cached_property
+    def runs(self) -> list[tuple[int, int, int]]:
+        """(code, start, length) of each run, in order."""
+        runs, start = [], 0
+        for code, run in groupby(self.letters):
+            length = len(list(run))
+            runs.append((code, start, length))
+            start += length
+        return runs
 
 
 def _span(start: int, length: int, n: int) -> tuple[int, ...]:
@@ -127,24 +145,27 @@ def _span(start: int, length: int, n: int) -> tuple[int, ...]:
 
 
 def _pairs(
-    scan: _Scan, a: tuple[int, int], b: tuple[int, int]
+    scan: _Scan, pairs: tuple[tuple[bytes, bytes], ...]
 ) -> tuple[tuple[int, int], tuple[int, int]] | None:
-    """Witness of factors a and b when both occur, else None."""
-    first, n = scan.first, scan.n
-    if a in first and b in first:
-        return ((first[a], (first[a] + 1) % n), (first[b], (first[b] + 1) % n))
+    """Witness of the first pair of factors that both occur, else None."""
+    word, n = scan.word, scan.n
+    for a, b in pairs:
+        i = word.find(a)
+        if i >= 0:
+            j = word.find(b)
+            if j >= 0:
+                return ((i, (i + 1) % n), (j, (j + 1) % n))
     return None
 
 
-def _pp2(scan: _Scan, orient: Orientation, letters: tuple[int, ...]) -> Obstruction | None:
-    """Both of xy and xy^-1, both of xy^n x and a disjoint y^(n+2), or
-    both of x^2 and y^2; letters are the input letters for x, x^-1, y, y^-1."""
-    x, x_inv, y, y_inv = letters
+def _pp2(scan: _Scan, relabeling: tuple) -> Obstruction | None:
+    """Both of xy and xy^-1 (or of y^-1x^-1 and yx^-1), both of xy^n x
+    and a disjoint y^(n+2), or both of x^2 and y^2."""
+    orient, (x, _, y, _), pp2a, _ = relabeling
+    witness = _pairs(scan, pp2a)
+    if witness is not None:
+        return Obstruction(Rule.PP2a, witness, orient)
     n = scan.n
-    for a, b in (((x, y), (x, y_inv)), ((y_inv, x_inv), (y, x_inv))):
-        witness = _pairs(scan, a, b)
-        if witness is not None:
-            return Obstruction(Rule.PP2a, witness, orient)
     runs = scan.runs
     m = len(runs)
     y_runs = [(start, length) for code, start, length in runs if code == y]
@@ -163,14 +184,11 @@ def _pp2(scan: _Scan, orient: Orientation, letters: tuple[int, ...]) -> Obstruct
     return None
 
 
-def _key1(scan: _Scan, orient: Orientation, letters: tuple[int, ...]) -> Obstruction | None:
+def _key1(scan: _Scan, relabeling: tuple) -> Obstruction | None:
     """xy with yx^-1, or y^-1x^-1 with xy^-1."""
-    x, x_inv, y, y_inv = letters
-    for a, b in (((x, y), (y, x_inv)), ((y_inv, x_inv), (x, y_inv))):
-        witness = _pairs(scan, a, b)
-        if witness is not None:
-            return Obstruction(Rule.KEY1, witness, orient, 1)
-    return None
+    orient, _, _, key1 = relabeling
+    witness = _pairs(scan, key1)
+    return None if witness is None else Obstruction(Rule.KEY1, witness, orient, 1)
 
 
 def certify_nonprimitive(w: CyclicWord | Word | str) -> Obstruction | None:
@@ -183,8 +201,8 @@ def certify_nonprimitive(w: CyclicWord | Word | str) -> Obstruction | None:
     """
     scan = _Scan(CyclicWord.of(w).letters)
     for rule in (_pp2, _key1):
-        for orient, letters in _RELABELINGS:
-            obstruction = rule(scan, orient, letters)
+        for relabeling in _RELABELINGS:
+            obstruction = rule(scan, relabeling)
             if obstruction is not None:
                 return obstruction
     return None

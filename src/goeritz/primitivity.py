@@ -85,6 +85,9 @@ class PrimitivityVerdict:
     reduction_trace: tuple[tuple[str, int], ...]
 
 
+# The one verdict on every word that lacks the shape.
+_NO_SHAPE = PrimitivityVerdict(False, False, ())
+
 # The other letter of a positive level.
 _SWAP = {b"x": b"y", b"y": b"x"}
 # Tables that spell one level's blocks as the next level's letters, A as
@@ -148,7 +151,7 @@ def is_primitive(w: CyclicWord | Word | str) -> PrimitivityVerdict:
         return PrimitivityVerdict(exps in ([1], [-1]), bool(exps), ())
     shape = _shape(exps)
     if shape is None:
-        return PrimitivityVerdict(False, False, ())
+        return _NO_SHAPE
     off, s_exp, t, lo, hi = shape
     s_gen = first if off == 0 else _OTHER[first]
     t_gen = _OTHER[s_gen]

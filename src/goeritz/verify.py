@@ -17,7 +17,13 @@ from math import gcd
 
 from .lens import Classification, LensSpace, division_window, invariants, modular_partner
 from .obstructions import certify_nonprimitive
-from .primitivity import enumerate_primitives, is_primitive, is_primitive_power, oz_form_check
+from .primitivity import (
+    MAX_ENUMERATION_LENGTH,
+    enumerate_primitives,
+    is_primitive,
+    is_primitive_power,
+    oz_form_check,
+)
 from .shell_bridge import (
     MAX_SHELL_P,
     NotForestError,
@@ -246,7 +252,7 @@ def check_shell_primitivity(max_p: int = 50) -> CheckResult:
     return _suite("shell-primitivity", f"all coprime shells with p <= {max_p}", cases())
 
 
-def check_oz_necessity(max_len: int = 16) -> CheckResult:
+def check_oz_necessity(max_len: int = MAX_ENUMERATION_LENGTH) -> CheckResult:
     """Every primitive class passes the two-block shape test."""
 
     def cases():
@@ -334,7 +340,7 @@ def run_all(
     """Run every suite; order is fixed so reports are comparable.
 
     Random words run to min(20, exhaustive_len + 6) letters, primitive
-    classes to min(16, exhaustive_len + 2), classification to max(200, max_p).
+    classes to MAX_ENUMERATION_LENGTH, classification to max(200, max_p).
 
     Every bound is checked before any suite runs: workers within
     1..os.cpu_count(), as a process pool forks all its workers at the
@@ -358,7 +364,7 @@ def run_all(
             seed=seed,
             workers=workers,
         ),
-        check_oz_necessity(max_len=min(16, exhaustive_len + 2)),
+        check_oz_necessity(max_len=MAX_ENUMERATION_LENGTH),
         check_bridges(max_p=max_p),
         check_classification(max_p=max(200, max_p)),
     ]

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
+from operator import xor
 from typing import Iterable, NamedTuple
 
 GENERATORS = ("x", "y")
@@ -231,26 +232,33 @@ def _parse_terms(text: str, pos: int, depth: int) -> tuple[list[tuple[str, int]]
 
 
 def _least_rotation(seq: tuple[int, ...]) -> int:
-    """Index of the lexicographically least rotation (Booth's algorithm)."""
+    """First index of the lexicographically least rotation of seq.
+
+    A two-pointer scan over seq + seq (Booth 1980; Shiloach, "Fast
+    canonization of circular strings", J. Algorithms 2, 1981) with no
+    failure table.  Every start below j other than the candidate i is
+    ruled out.  The rotations at i and j agree on k letters; at a
+    mismatch, the greater one's starts through k letters past it lose to
+    the other's, so those k + 1 starts are ruled out.  Equal rotations
+    at i and j (k = n) make seq periodic with period j - i, so i wins.
+    Since only starts whose rotation is strictly greater are ruled out,
+    i is the first least one, as cyclic_reduce's conjugator needs.  Each
+    mismatch adds k + 1 to i + j < 2n, so the scan is linear.
+    """
     n = len(seq)
-    if n <= 1:
-        return 0
-    f = [-1] * (2 * n)
-    k = 0
-    for j in range(1, 2 * n):
-        sj = seq[j % n]
-        i = f[j - k - 1]
-        while i != -1 and sj != seq[(k + i + 1) % n]:
-            if sj < seq[(k + i + 1) % n]:
-                k = j - i - 1
-            i = f[i]
-        if sj != seq[(k + i + 1) % n]:
-            if sj < seq[k % n]:
-                k = j
-            f[j - k] = -1
+    s = seq + seq
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = s[i + k], s[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i, j = j, max(j, i + k) + 1
         else:
-            f[j - k] = i + 1
-    return k
+            j += k + 1
+        k = 0
+    return i
 
 
 @dataclass(frozen=True)
@@ -261,10 +269,9 @@ class CyclicWord:
 
     def __post_init__(self) -> None:
         letters = self.letters
-        if len(letters) > 1:
-            for a, b in zip(letters, letters[1:] + letters[:1]):
-                if a == b ^ 1:
-                    raise ValueError("letters are not cyclically reduced")
+        # Letters a and b cancel exactly when a ^ b == 1.
+        if 1 in map(xor, letters, letters[1:] + letters[:1]):
+            raise ValueError("letters are not cyclically reduced")
         k = _least_rotation(letters)
         object.__setattr__(self, "letters", letters[k:] + letters[:k])
 
@@ -283,7 +290,7 @@ class CyclicWord:
             return w
         if isinstance(w, str):
             w = parse_word(w)
-        return cyclic_reduce(w)[0]
+        return _cyclic_core(w.letters())[0]
 
     @property
     def length(self) -> int:
@@ -306,6 +313,19 @@ class CyclicWord:
         return format_word(self.to_word())
 
 
+def _cyclic_core(letters: tuple[int, ...]) -> tuple[CyclicWord, int]:
+    """The cyclic class of the cyclically reduced core of letters, and the
+    length of the conjugator letters[:cut] that brings it into least
+    rotation."""
+    lo, hi = 0, len(letters)
+    while hi - lo >= 2 and letters[lo] == letter_inverse(letters[hi - 1]):
+        lo += 1
+        hi -= 1
+    core = letters[lo:hi]
+    k = _least_rotation(core)
+    return CyclicWord.from_canonical(core[k:] + core[:k]), lo + k
+
+
 def cyclic_reduce(w: Word) -> tuple[CyclicWord, Word]:
     """Split w as conjugator * core * conjugator^-1 with core cyclically reduced.
 
@@ -313,11 +333,5 @@ def cyclic_reduce(w: Word) -> tuple[CyclicWord, Word]:
     w == conjugator * cyclic.to_word() * conjugator.inverse() holds exactly.
     """
     letters = w.letters()
-    lo, hi = 0, len(letters)
-    while hi - lo >= 2 and letters[lo] == letter_inverse(letters[hi - 1]):
-        lo += 1
-        hi -= 1
-    core = letters[lo:hi]
-    k = _least_rotation(core)
-    conjugator = Word.from_letters(letters[: lo + k])
-    return CyclicWord.from_canonical(core[k:] + core[:k]), conjugator
+    cyclic, cut = _cyclic_core(letters)
+    return cyclic, Word.from_letters(letters[:cut])

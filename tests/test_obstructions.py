@@ -209,14 +209,34 @@ PINNED_CERTIFICATES = (
 )
 
 
-def test_certificates_pinned():
-    rng = random.Random(20261019)
-    inputs = [c for n in range(11) for c in canonical_classes(n)]
-    inputs += [_random_letters(rng, 24) for _ in range(5000)]
+# The same digest for every class of length 11 and 12 plus 20,000
+# seeded random words of up to 40 letters, recorded before the
+# certifier found factors with bytes.find.
+PINNED_CERTIFICATES_LONG = (
+    "201994dd0974d85047c4d9fa5c294f89"
+    "8587e5f925a625128c63d15de57d51ad"
+)
+
+
+def certificates_digest(inputs) -> str:
     digest = hashlib.sha256()
     for letters in inputs:
         cw = CyclicWord(letters)
         ob = certify_nonprimitive(cw)
         entry = [list(cw.letters), None if ob is None else ob.to_json()]
         digest.update(json.dumps(entry).encode())
-    assert digest.hexdigest() == PINNED_CERTIFICATES
+    return digest.hexdigest()
+
+
+def test_certificates_pinned():
+    rng = random.Random(20261019)
+    inputs = [c for n in range(11) for c in canonical_classes(n)]
+    inputs += [_random_letters(rng, 24) for _ in range(5000)]
+    assert certificates_digest(inputs) == PINNED_CERTIFICATES
+
+
+def test_certificates_pinned_past_length_10():
+    rng = random.Random(20261021)
+    inputs = [c for n in (11, 12) for c in canonical_classes(n)]
+    inputs += [_random_letters(rng, 40) for _ in range(20000)]
+    assert certificates_digest(inputs) == PINNED_CERTIFICATES_LONG

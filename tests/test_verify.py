@@ -198,6 +198,9 @@ class TestRunAll:
             "classification-equivalence",
         ]
         assert all(r.passed for r in results)
+        # oz-necessity reaches the enumeration's bound whatever max-len is.
+        oz = results[2]
+        assert (oz.checked, oz.detail) == (512, "primitive classes of length <= 20")
 
     def test_injected_failure_is_reported(self, monkeypatch):
         monkeypatch.setattr("goeritz.verify.oz_form_check", lambda cw: False)
@@ -210,7 +213,7 @@ class TestRunAll:
         assert [r.name for r in failed] == ["oz-necessity"]
         assert failed[0].counterexample == {"word": "x"}
         assert failed[0].checked == 1
-        assert failed[0].detail == "primitive classes of length <= 6"
+        assert failed[0].detail == "primitive classes of length <= 20"
 
     @pytest.fixture
     def suites_refused(self, monkeypatch):

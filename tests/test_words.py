@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+from itertools import product
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -9,12 +12,13 @@ from goeritz.words import (
     CyclicWord,
     Word,
     WordParseError,
+    _least_rotation,
     cyclic_reduce,
     format_word,
     parse_word,
     reduce_word,
 )
-from goeritz.verify import canonical_classes
+from goeritz.verify import _random_letters, canonical_classes
 
 raw_pairs = st.lists(
     st.tuples(st.sampled_from("xy"), st.integers(min_value=-6, max_value=6)),
@@ -193,3 +197,51 @@ class TestCyclic:
     @given(words(), words())
     def test_conjugation_invariance(self, w: Word, g: Word):
         assert CyclicWord.of(g * w * g.inverse()) == CyclicWord.of(w)
+
+
+def first_least_rotation(seq: tuple[int, ...]) -> int:
+    """The reference: min returns the first index whose rotation is least."""
+    return min(range(len(seq)), key=lambda i: seq[i:] + seq[:i], default=0)
+
+
+class TestLeastRotation:
+    def test_every_short_tuple(self):
+        wrong = [
+            t
+            for n in range(9)
+            for t in product(range(4), repeat=n)
+            if _least_rotation(t) != first_least_rotation(t)
+        ]
+        assert wrong == []
+
+    def test_powers(self):
+        # Powers have k least rotations; the first one must be returned.
+        rng = random.Random(20261021)
+        for _ in range(3000):
+            u = tuple(rng.randrange(rng.randint(1, 4)) for _ in range(rng.randint(1, 10)))
+            w = u * rng.randint(1, 8)
+            assert _least_rotation(w) == first_least_rotation(w), w
+
+    def test_long_words(self):
+        rng = random.Random(3000)
+        cases = [
+            tuple(rng.randrange(4) for _ in range(3000)),
+            tuple(rng.randrange(2) for _ in range(12)) * 250,
+            (1,) * 2999 + (0,),
+            (0, 2) * 1499 + (0, 0),
+        ]
+        for w in cases:
+            assert _least_rotation(w) == first_least_rotation(w)
+
+    def test_cyclic_reduce_on_periodic_inputs(self):
+        rng = random.Random(24)
+        for _ in range(500):
+            letters = _random_letters(rng, 8) * rng.randint(1, 6)
+            power = Word.from_letters(letters)
+            cyc, conj = cyclic_reduce(power)
+            assert conj == Word.from_letters(letters[: first_least_rotation(letters)])
+            g = Word.from_letters([rng.randrange(4) for _ in range(rng.randint(0, 6))])
+            w = g * power * g.inverse()
+            cyc, conj = cyclic_reduce(w)
+            assert conj * cyc.to_word() * conj.inverse() == w
+            assert cyc == CyclicWord(letters) == CyclicWord.of(w)
