@@ -1,20 +1,24 @@
 """Paired benchmark of two trees: the parent and a change.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --out BENCH_N.json \\
-        --claim class-sweep:ops_per_s --pairs 10 --seconds 30
+        --seed-base 3000 --probe-seed-base 3100 --claim class-sweep:ops_per_s
+
+Pick seed bases that no earlier series and no run made while writing the
+change has used; both are required, so no default seed is ever reused.
 
 Each tree is a clean ``git archive`` export of a commit or tree id, so
 untracked files and build leftovers in the checkout never reach a run.
 The exports sit side by side in directories whose paths have the same
-length.  Pair i (from 1) runs ``python3 bench/run.py --workload W --seed
-SEED_BASE + i --seconds S --trace 0`` in each tree, one run at a time,
-for every workload in turn; the parent starts odd pairs and the change
+length.  Pair i (from 1 to PAIRS) runs ``python3 bench/run.py --workload
+W --seed SEED_BASE + i --seconds S --trace 0`` in each tree, one run at a
+time, for every workload of ``BENCHMARK.json`` in its order, with S its
+``run_seconds``; the parent starts odd pairs and the change
 even ones.  Class-sweep also runs a second, byte-identical export of
 the parent, and the three trees rotate which starts: the spread between
 the parent and the control is what host noise alone does.  After the
-pairs, fresh ``python3 bench/worker.py setup W SEED`` processes
-alternate parent and change one process at a time, so both trees'
-set-up probes land in the same host modes.
+pairs, PROBE_PAIRS pairs of fresh ``python3 bench/worker.py setup W
+SEED`` processes alternate parent and change one process at a time, so
+both trees' set-up probes land in the same host modes.
 
 The JSON written to ``--out`` has the layout of the committed
 ``BENCH_*.json`` files: for every end-to-end metric of ``BENCHMARK.json``
@@ -39,13 +43,15 @@ from pathlib import Path
 from statistics import quantiles
 
 REPO = Path(__file__).resolve().parent.parent
-WORKLOADS = ("long-shells", "lens-queries", "class-sweep")
 # Workloads that also run a byte-identical export of the parent.
 CONTROLLED = {"class-sweep"}
 QUARTILES = "statistics.quantiles(n=4, method='inclusive')"
+PAIRS = 10
+PROBE_PAIRS = 20
 RULE = (
-    "change wins at least 9 of 10 pairs and its median beats the parent's "
-    "by more than the parent's interquartile range"
+    "change wins at least 9 of 10 pairs, its median beats the parent's "
+    "by more than the parent's interquartile range, and no larger share "
+    "of its operations fails"
 )
 
 
@@ -130,8 +136,8 @@ def summarize(runs: dict[str, list[dict]], metric: dict) -> dict:
     return out
 
 
-def claim(summary: dict, workload: str, metric: str) -> dict:
-    s = summary[metric]
+def claim(result: dict, workload: str, metric: str) -> dict:
+    s, failed = result["summary"][metric], result["failed_share"]
     sign = 1 if s["better"] == "higher" else -1
     gain = sign * (s["change"]["median"] - s["parent"]["median"])
     iqr = s["parent"]["q3"] - s["parent"]["q1"]
@@ -145,7 +151,10 @@ def claim(summary: dict, workload: str, metric: str) -> dict:
         "median_gain": gain,
         "median_gain_ratio": gain / s["parent"]["median"],
         "parent_iqr": iqr,
-        "met": s["change_wins"] >= needed and gain > iqr,
+        "failed_share": {tree: failed[tree] for tree in ("parent", "change")},
+        "met": (
+            s["change_wins"] >= needed and gain > iqr and failed["change"] <= failed["parent"]
+        ),
         "parent_median": s["parent"]["median"],
         "change_median": s["change"]["median"],
     }
@@ -156,18 +165,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", required=True, help="commit or tree id of the parent")
     parser.add_argument("--change", required=True, help="commit or tree id of the change")
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=30)
-    parser.add_argument("--seed-base", type=int, default=2400)
-    parser.add_argument("--probe-pairs", type=int, default=20)
-    parser.add_argument("--probe-seed-base", type=int, default=2500)
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
+    parser.add_argument("--seed-base", type=int, required=True, help="pair i uses seed BASE + i")
+    parser.add_argument(
+        "--probe-seed-base", type=int, required=True, help="set-up probe i uses seed BASE + i"
+    )
     parser.add_argument("--claim", help="WORKLOAD:METRIC the change claims to improve")
     parser.add_argument("--workdir", type=Path, help="where the exports go (default: a temp dir)")
     args = parser.parse_args(argv)
 
     spec = json.loads((REPO / "BENCHMARK.json").read_text())
-    workloads = args.workloads.split(",")
+    workloads = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     workdir = args.workdir or Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     trees = {"parent": workdir / "par", "change": workdir / "chg", "control": workdir / "ctl"}
     export(args.parent, trees["parent"])
@@ -176,13 +184,13 @@ def main(argv: list[str] | None = None) -> int:
         export(args.parent, trees["control"])
 
     runs = {w: {t: [] for t in trees if t != "control" or w in CONTROLLED} for w in workloads}
-    for i in range(1, args.pairs + 1):
+    for i in range(1, PAIRS + 1):
         seed = args.seed_base + i
         for workload in workloads:
             order = list(runs[workload])
             start = (i - 1) % len(order)
             for tree in order[start:] + order[:start]:
-                run = bench_run(trees[tree], workload, seed, args.seconds)
+                run = bench_run(trees[tree], workload, seed, seconds)
                 runs[workload][tree].append(run)
                 print(f"pair {i} {workload} {tree}: {run['metrics']}", file=sys.stderr, flush=True)
 
@@ -191,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
         "parent_commit": rev_parse(args.parent),
         "change_tree": rev_parse(args.change + "^{tree}"),
         "command": (
-            f"python3 bench/run.py --workload <name> --seed <seed> --seconds {args.seconds} "
+            f"python3 bench/run.py --workload <name> --seed <seed> --seconds {seconds} "
             "--trace 0, run from a clean export of each tree"
         ),
         "order": (
@@ -199,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
             f"change first in even pairs; workloads in the order {', '.join(workloads)} within "
             f"a pair; {controlled} also runs a byte-identical export of the parent (control), "
             "and the three rotate which starts. After the pairs, "
-            f"{args.probe_pairs} pairs of fresh `python3 bench/worker.py setup <workload> <seed>` "
+            f"{PROBE_PAIRS} pairs of fresh `python3 bench/worker.py setup <workload> <seed>` "
             f"probes per workload (seeds {args.probe_seed_base} + i) alternate parent and change "
             "one process at a time (setup_probes)"
         ),
@@ -215,7 +223,7 @@ def main(argv: list[str] | None = None) -> int:
     for workload in workloads:
         series = runs[workload]
         probes: dict[str, list[float]] = {"parent": [], "change": []}
-        for i in range(args.probe_pairs):
+        for i in range(PROBE_PAIRS):
             order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
             for tree in order:
                 probes[tree].append(setup_probe(trees[tree], workload, args.probe_seed_base + i))
@@ -223,8 +231,8 @@ def main(argv: list[str] | None = None) -> int:
         setup.update(compare(probes["parent"], probes["change"], "lower"))
         setup.update(parent_runs=probes["parent"], change_runs=probes["change"])
         report["workloads"][workload] = {
-            "pairs": args.pairs,
-            "seeds": [args.seed_base + i for i in range(1, args.pairs + 1)],
+            "pairs": PAIRS,
+            "seeds": [args.seed_base + i for i in range(1, PAIRS + 1)],
             "failed_share": {
                 tree: sum(r["failed"] for r in rs) / sum(r["attempted"] for r in rs)
                 for tree, rs in series.items()
@@ -239,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
     summaries = [(w, m, s) for w, d in report["workloads"].items() for m, s in d["summary"].items()]
     if args.claim:
         workload, metric = args.claim.split(":")
-        report["claim"] = claim(report["workloads"][workload]["summary"], workload, metric)
+        report["claim"] = claim(report["workloads"][workload], workload, metric)
     report["outside_bound"] = [
         {"workload": w, "metric": m, "median_worse_by": s["median_worse_by"]}
         for w, m, s in summaries
