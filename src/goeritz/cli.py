@@ -34,7 +34,7 @@ from .presentations import (
     goeritz_presentation,
 )
 from .shell_bridge import MAX_SHELL_P, NotForestError, bridge_report, find_bridge, shell_words
-from .verify import DEFAULT_SEED, MAX_EXHAUSTIVE_LEN, run_all
+from .verify import DEFAULT_SEED, MAX_EXHAUSTIVE_LEN, MIN_BRIDGE_P, run_all
 
 
 def _space(p: int, q: int) -> LensSpace:
@@ -306,9 +306,9 @@ def _parser() -> argparse.ArgumentParser:
     cmd.set_defaults(func=cmd_complex)
 
     cmd = sub.add_parser("verify", help="run the verification sweeps")
-    cmd.add_argument("--max-p", type=int, default=60, help=f"at most {MAX_SHELL_P}")
+    cmd.add_argument("--max-p", type=int, default=60, help=f"{MIN_BRIDGE_P}..{MAX_SHELL_P}")
     cmd.add_argument("--max-len", type=int, default=14, help=f"0..{MAX_EXHAUSTIVE_LEN}")
-    cmd.add_argument("--samples", type=int, default=100_000)
+    cmd.add_argument("--samples", type=int, default=100_000, help="at least 1 with --max-len 0")
     cmd.add_argument("--seed", type=int, default=DEFAULT_SEED)
     cmd.add_argument("--jobs", type=int, default=1, help="worker processes, 1..CPU count")
     cmd.set_defaults(func=cmd_verify)

@@ -10,13 +10,18 @@ answer and leaves one letter per s-syllable.  Repeating this is the
 Euclidean algorithm on syllables (Osborne and Zieschang 1981; Cohen,
 Metzler and Zimmermann 1981): the class is primitive iff the descent ends
 at a single letter, and a primitive power iff it ends at a single
-syllable.  Each level at least halves the syllable count.  Level 0
-reads the signed syllable exponents and tests the shape with one count
-and one set.  Every later level is a positive word, held as bytes of x
-and y: C-level `in` and `count` test its shape, and one `replace` and
-one `translate` spell the next level.  Trace labels are formatted
-straight from (generator, exponent).  The least rotation of u^k is
-(least rotation of u)^k, so power_root reads u off the canonical one.
+syllable.  Each level at least halves the syllable count.  Every level
+after level 0 is a positive word, held as bytes of x and y: C-level `in`
+and `count` test its shape, and one `replace` and one `translate` spell
+the next level.  A CyclicWord runs level 0 there too: a generator with
+both signs fails the shape, and otherwise one `translate` of its letter
+codes gives the positive image, the class with its inverted generators
+flipped back, an automorphism that moves only the first label's signs.
+Only a Word or text reads level 0 off its signed syllable exponents,
+which it already holds, and tests the shape with one count and one set.
+Trace labels are formatted straight from (generator, exponent).  The
+least rotation of u^k is (least rotation of u)^k, so power_root reads u
+off the canonical one.
 
 enumerate_primitives needs no descent: the primitive classes are the
 Christoffel words with their sign choices, one class per coprime pair of
@@ -31,7 +36,7 @@ from itertools import product, repeat
 from math import gcd
 from operator import eq, itemgetter
 
-from .words import CyclicWord, Word, _letter_syllables, _syllable_text, parse_word
+from .words import CyclicWord, Word, _syllable_text, parse_word
 
 MAX_ENUMERATION_LENGTH = 20
 
@@ -39,13 +44,11 @@ _OTHER = {"x": "y", "y": "x"}
 _exponent = itemgetter(1)
 
 
-def _cyclic_exponents(w: CyclicWord | Word | str) -> tuple[str, list[int]]:
+def _cyclic_exponents(w: Word) -> tuple[str, list[int]]:
     """Generator of the first syllable and the syllable exponents of the
     cyclically reduced class of w; consecutive syllables alternate
     generators, and so do the last and the first unless there is one."""
-    if isinstance(w, str):
-        w = parse_word(w)
-    syllables = _letter_syllables(w.letters) if isinstance(w, CyclicWord) else w.syllables
+    syllables = w.syllables
     exps = list(map(_exponent, syllables))
     lo, hi = 0, len(exps)
     # An odd count of alternating syllables starts and ends with the same generator.
@@ -92,13 +95,24 @@ _NO_SHAPE = PrimitivityVerdict(False, False, ())
 _SWAP = {b"x": b"y", b"y": b"x"}
 # Tables that spell one level's blocks as the next level's letters, A as
 # x and B as y: from a positive level, where each A is left as its
-# separator s and each B is replaced by the marker B; and from level 0,
-# which flags each t-exponent equal to n (an A) with 1.
+# separator s and each B is replaced by the marker B; and from level 0
+# of a Word, which flags each t-exponent equal to n (an A) with 1.
 _BLOCKS = {s: bytes.maketrans(s + b"B", b"xy") for s in (b"x", b"y")}
 _FLAGS = bytes.maketrans(b"\0\1", b"yx")
+# A class's letter codes x, x^-1, y, y^-1 as its positive image.
+_POSITIVE = bytes.maketrans(b"\0\1\2\3", b"xxyy")
+# The sign of each generator in a class, by (x inverted, y inverted).
+_SIGNS = {
+    (False, False): None,
+    (True, False): {"x": -1, "y": 1},
+    (False, True): {"x": 1, "y": -1},
+    (True, True): {"x": -1, "y": -1},
+}
 
 
-def _descend(word: bytes, trace: list[tuple[str, int]]) -> int:
+def _descend(
+    word: bytes, trace: list[tuple[str, int]], signs: dict[str, int] | None = None
+) -> int:
     """The descent on a positive word of x and y letters that uses both.
 
     Each level is rotated to its first change, so no run wraps.  The
@@ -109,7 +123,9 @@ def _descend(word: bytes, trace: list[tuple[str, int]]) -> int:
     and count(s t^(n+1)) is the remainder.  One replace and one
     translate spell the next level, A as x and B as y.  Appends each
     level to trace and returns k when the descent ends at the syllable
-    x^k, or 0 when a level lacks the shape.
+    x^k, or 0 when a level lacks the shape.  When word is the positive
+    image of a class whose generator g has sign signs[g], the first
+    level's label carries those signs, so it maps onto the class itself.
     """
     while True:
         if word[0] == word[-1]:
@@ -129,10 +145,38 @@ def _descend(word: bytes, trace: list[tuple[str, int]]) -> int:
         if t * (n + 2) in word or word.count(b) != extra:
             return 0
         g, h = s.decode(), t.decode()
-        trace.append((f"x->{g}{_syllable_text(h, n)}, y->{g}{h}^{n + 1}", size))
+        if signs:
+            e, sep = signs[h], _syllable_text(g, signs[g])
+            label = f"x->{sep}{_syllable_text(h, e * n)}, y->{sep}{_syllable_text(h, e * (n + 1))}"
+            signs = None
+        else:
+            label = f"x->{g}{_syllable_text(h, n)}, y->{g}{h}^{n + 1}"
+        trace.append((label, size))
         if not extra:
             return size
         word = word.replace(b, b"B").translate(_BLOCKS[s], t)
+
+
+def _decide_class(letters: bytes) -> PrimitivityVerdict:
+    """is_primitive on the letter codes of a class in least rotation.
+
+    That rotation starts with the least code present, so with an x
+    letter whenever there is one; a class of both generators then ends
+    with a y letter, and a class of one generator is one letter repeated.
+    A generator with both signs leaves no separator or mixes the signs of
+    t, so the class lacks the shape.  Otherwise it is the image of its
+    positive image under inverting the generators with sign -1, an
+    automorphism, so the descent runs on the positive image and only the
+    first label takes the signs back.
+    """
+    if letters[:1] == letters[-1:]:
+        return PrimitivityVerdict(len(letters) == 1, bool(letters), ())
+    x_inverted, y_inverted = letters[0] == 1, 3 in letters
+    if (not x_inverted and 1 in letters) or (y_inverted and 2 in letters):
+        return _NO_SHAPE
+    trace: list[tuple[str, int]] = []
+    k = _descend(letters.translate(_POSITIVE), trace, _SIGNS[x_inverted, y_inverted])
+    return PrimitivityVerdict(k == 1, k > 0, tuple(trace)) if trace else _NO_SHAPE
 
 
 def is_primitive(w: CyclicWord | Word | str) -> PrimitivityVerdict:
@@ -143,10 +187,13 @@ def is_primitive(w: CyclicWord | Word | str) -> PrimitivityVerdict:
     reduction trace: the label "x->A, y->B" is the substitution that maps
     the next level's word back onto this level's, and letters is the
     next level's length.  A descent that ends at a syllable g^k makes w
-    a power u^k.  Level 0 reads signed syllable exponents; every later
-    level is a positive word, which _descend runs on bytes.
+    a power u^k.  A CyclicWord runs every level on bytes, from its letter
+    codes; a Word or text runs level 0 on its signed syllable exponents,
+    which it already holds, and every later level on bytes.
     """
-    first, exps = _cyclic_exponents(w)
+    if isinstance(w, CyclicWord):
+        return _decide_class(bytes(w.letters))
+    first, exps = _cyclic_exponents(parse_word(w) if isinstance(w, str) else w)
     if len(exps) <= 1:
         return PrimitivityVerdict(exps in ([1], [-1]), bool(exps), ())
     shape = _shape(exps)
@@ -187,13 +234,15 @@ def oz_form_check(w: CyclicWord | Word | str) -> bool:
     The first level of the descent in is_primitive: true iff w is, up to
     exchanging generator roles, a product of terms x^e y^n and
     x^e y^(n+1) for a single sign e and a fixed n, or a single letter.
+    A class of both generators passes exactly when its reduction trace
+    holds that level; a class of one generator, when it is primitive.
     Not sufficient: xy^2xy^2xyxy has the shape yet is not even a
     primitive power.  Vacuously true for the identity.
     """
-    _, exps = _cyclic_exponents(w)
-    if len(exps) <= 1:
-        return not exps or abs(exps[0]) == 1
-    return _shape(exps) is not None
+    if isinstance(w, str):
+        w = parse_word(w)
+    verdict = is_primitive(w)
+    return bool(verdict.reduction_trace) or verdict.is_primitive or w.is_identity()
 
 
 def enumerate_primitives(max_len: int) -> set[CyclicWord]:

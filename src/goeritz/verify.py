@@ -39,6 +39,10 @@ DEFAULT_SEED = 20260816
 # about 8 times the default length 14's 534,444.
 MAX_EXHAUSTIVE_LEN = 16
 
+# Least max_p that gives bridge-validity a case: the smallest forest space
+# is L(12, 5).
+MIN_BRIDGE_P = 12
+
 
 @dataclass
 class CheckResult:
@@ -345,16 +349,26 @@ def run_all(
     Every bound is checked before any suite runs: workers within
     1..os.cpu_count(), as a process pool forks all its workers at the
     first submit; max_p up to MAX_SHELL_P, the reach of the bridge bounds,
-    so no valid bridge is reported as a counterexample; and
-    exhaustive_len within 0..MAX_EXHAUSTIVE_LEN.
+    so no valid bridge is reported as a counterexample, and at least
+    MIN_BRIDGE_P; exhaustive_len within 0..MAX_EXHAUSTIVE_LEN; and samples
+    at least 0, and at least 1 when exhaustive_len is 0.  So every suite
+    has a case, since a suite that checks none fails.
     """
     cpus = os.cpu_count() or 1
     if not 1 <= workers <= cpus:
         raise ValueError(f"jobs must be within 1..{cpus}, got {workers}")
     if max_p > MAX_SHELL_P:
         raise ValueError(f"max-p must be at most {MAX_SHELL_P}, got {max_p}")
+    if max_p < MIN_BRIDGE_P:
+        raise ValueError(
+            f"max-p must be at least {MIN_BRIDGE_P}, the smallest forest space's p, got {max_p}"
+        )
     if not 0 <= exhaustive_len <= MAX_EXHAUSTIVE_LEN:
         raise ValueError(f"max-len must be within 0..{MAX_EXHAUSTIVE_LEN}, got {exhaustive_len}")
+    if samples < 0:
+        raise ValueError(f"samples must be at least 0, got {samples}")
+    if not exhaustive_len and not samples:
+        raise ValueError("max-len 0 with 0 samples leaves obstruction-soundness no word")
     return [
         check_shell_primitivity(max_p=min(max_p, 50)),
         check_obstruction_soundness(

@@ -22,6 +22,13 @@ X, X_INV, Y, Y_INV = 0, 1, 2, 3
 _LETTER_TEXT = ("x", "x^-1", "y", "y^-1")
 _GEN_INDEX = {"x": 0, "y": 1}
 
+# Most syllables parse_word builds, counted as it expands each group,
+# before the merges of free reduction.  The longest word the package
+# writes, a corridor's D-word, holds at most
+# shell_bridge.MAX_CORRIDOR_SYLLABLES = 500,002, so every exported
+# complex reads back.
+MAX_WORD_SYLLABLES = 1_000_000
+
 
 def letter_code(gen: str, sign: int) -> int:
     """Letter code of gen^sign, sign in {1, -1}."""
@@ -30,11 +37,6 @@ def letter_code(gen: str, sign: int) -> int:
 
 def letter_inverse(code: int) -> int:
     return code ^ 1
-
-
-def _letter_syllables(codes: Iterable[int]) -> list[tuple[str, int]]:
-    """One syllable per run of equal letter codes, unreduced across runs."""
-    return [(GENERATORS[c >> 1], len(list(run)) * (1 - 2 * (c & 1))) for c, run in groupby(codes)]
 
 
 class AbelianPair(NamedTuple):
@@ -104,7 +106,9 @@ class Word:
 
     @classmethod
     def from_letters(cls, codes: Iterable[int]) -> "Word":
-        return cls(tuple(_letter_syllables(codes)))
+        """The word of letter codes: one syllable per run of equal codes."""
+        runs = groupby(codes)
+        return cls(tuple((GENERATORS[c >> 1], len(list(r)) * (1 - 2 * (c & 1))) for c, r in runs))
 
     def __mul__(self, other: "Word") -> "Word":
         return Word(self.syllables + other.syllables)
@@ -166,10 +170,14 @@ def parse_word(text: str) -> Word:
 
     Grammar: word := term+ ; term := letter ['^' int] | '(' word ')' '^' int ;
     letter in {x, y}; whitespace is ignored; "" parses to the identity.
+    Text that expands to more than MAX_WORD_SYLLABLES syllables raises
+    WordParseError before the group that passes the budget is expanded.
     """
     pairs, pos = _parse_terms(text, 0, depth=0)
     if pos != len(text):
         raise WordParseError(f"unexpected character {text[pos]!r}", pos)
+    if len(pairs) > MAX_WORD_SYLLABLES:
+        raise WordParseError(f"word holds more than {MAX_WORD_SYLLABLES} syllables", 0)
     return Word(tuple(pairs))
 
 
@@ -209,6 +217,7 @@ def _parse_terms(text: str, pos: int, depth: int) -> tuple[list[tuple[str, int]]
             pairs.append((ch, exp))
             saw_term = True
         elif ch == "(":
+            start = pos
             inner, pos = _parse_terms(text, pos + 1, depth + 1)
             pos = _skip_ws(text, pos)
             if pos >= len(text) or text[pos] != ")":
@@ -217,8 +226,10 @@ def _parse_terms(text: str, pos: int, depth: int) -> tuple[list[tuple[str, int]]
             if pos >= len(text) or text[pos] != "^":
                 raise WordParseError("parenthesized group requires an exponent", pos)
             exp, pos = _parse_int(text, pos + 1)
-            group = Word(tuple(inner)) ** exp
-            pairs.extend(group.syllables)
+            group = Word(tuple(inner))
+            if len(pairs) + len(group.syllables) * abs(exp) > MAX_WORD_SYLLABLES:
+                raise WordParseError(f"word expands past {MAX_WORD_SYLLABLES} syllables", start)
+            pairs.extend((group**exp).syllables)
             saw_term = True
         elif ch == ")":
             if depth == 0:

@@ -309,6 +309,9 @@ class TestVerifyCommand:
             ("--max-p", "2001", "max-p must be at most 2000, got 2001"),
             ("--max-len", "17", "max-len must be within 0..16, got 17"),
             ("--max-len", "-3", "max-len must be within 0..16, got -3"),
+            ("--max-p", "5", "max-p must be at least 12, the smallest forest space's p, got 5"),
+            ("--max-p", "1", "max-p must be at least 12, the smallest forest space's p, got 1"),
+            ("--samples", "-5", "samples must be at least 0, got -5"),
         ],
     )
     def test_bound_out_of_range_exits_two(self, capsys, monkeypatch, flag, value, message):
@@ -334,13 +337,20 @@ class TestVerifyCommand:
         assert done.returncode == 0, done.stderr
         assert done.stdout == "[]\n"
 
-    def test_empty_suite_fails_with_its_detail(self, capsys):
-        code, out, _ = run(capsys, "verify", "--max-p", "10", "--max-len", "6", "--samples", "200")
-        assert code == 1
-        line = next(line for line in out.splitlines() if "bridge-validity" in line)
-        assert line.startswith("FAIL")
-        assert " 0 checked" in line
-        assert line.endswith("(forest spaces with p <= 10, both window types)")
+    def test_no_case_left_exits_two(self, capsys, monkeypatch):
+        # Valid-looking input that would leave a suite without a case (no
+        # forest space below p = 12, no word at all to certify) is refused
+        # up front, not reported as a failed suite.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a suite started")
+
+        monkeypatch.setattr("goeritz.verify.check_shell_primitivity", refuse)
+        code, out, err = run(capsys, "verify", "--max-p", "10", "--max-len", "6", "--samples", "200")
+        assert (code, out) == (2, "")
+        assert "max-p must be at least 12" in err
+        code, out, err = run(capsys, *self.SMOKE, "--max-len", "0", "--samples", "0")
+        assert (code, out) == (2, "")
+        assert "max-len 0 with 0 samples leaves obstruction-soundness no word" in err
 
     def test_quiet_hides_passing_lines(self, capsys):
         code, out, _ = run(capsys, "--quiet", *self.SMOKE)

@@ -219,6 +219,10 @@ class TestBridgeCorridor:
         assert len(c.triangles) == c.meta["simplexCount"]
         assert {v.label for v in c.vertices if v.primitive} == {"D", "E"}
 
+    def test_largest_corridor_reads_back(self):
+        c = build_bridge_corridor(find_bridge(LensSpace(2000, 999), 999))
+        assert import_json(export_json(c)) == c
+
     def test_interiors_never_flagged(self):
         for p, q, qbar in [(12, 5, 5), (17, 5, 5), (23, 7, 7), (29, 12, 12)]:
             c = build_bridge_corridor(find_bridge(LensSpace(p, q), qbar))

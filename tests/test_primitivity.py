@@ -300,10 +300,10 @@ ORBIT_SEEDS = [
 MAX_ORBIT_LENGTH = 1500
 
 
-@pytest.mark.parametrize("seed, root", ORBIT_SEEDS)
-def test_long_words_known_by_construction(seed, root):
-    # The moves keep is_primitive and is_primitive_power, and carry the
-    # power root along: the image of u^k is the k-th power of u's image.
+def orbit(seed: str, root: str | None):
+    """50 seeded images (w, u) of the seed and its root under 1-40 random
+    moves each, u None when root is; a move that would pass
+    MAX_ORBIT_LENGTH letters ends that image's walk."""
     rng = random.Random(f"{DEFAULT_SEED}:{seed}")
     for _ in range(50):
         w = CyclicWord.of(seed)
@@ -316,6 +316,14 @@ def test_long_words_known_by_construction(seed, root):
             w = image
             if u is not None:
                 u = apply_whitehead(u, move_id)
+        yield w, u
+
+
+@pytest.mark.parametrize("seed, root", ORBIT_SEEDS)
+def test_long_words_known_by_construction(seed, root):
+    # The moves keep is_primitive and is_primitive_power, and carry the
+    # power root along: the image of u^k is the k-th power of u's image.
+    for w, u in orbit(seed, root):
         verdict = is_primitive(w)
         assert verdict.is_primitive == (root == seed), str(w)
         assert verdict.is_primitive_power == (root is not None), str(w)
@@ -323,6 +331,41 @@ def test_long_words_known_by_construction(seed, root):
             assert power_root(w) is None, str(w)
         else:
             assert CyclicWord.of(power_root(w)) == u, str(w)
+
+
+# Letter codes under inverting x, y, both or neither: automorphisms, which
+# keep the shape and move the signs of level 0's label.
+SIGN_FLIPS = ((0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2))
+
+
+def level_lengths(verdict):
+    return verdict.is_primitive, verdict.is_primitive_power, [n for _, n in verdict.reduction_trace]
+
+
+def assert_paths_agree(cw: CyclicWord):
+    # A class decides level 0 on its letter bytes, a Word on its syllable
+    # exponents.  The canonical rotation as a Word gives the whole
+    # verdict, trace included.  The rotation by half the length, whose
+    # exponents wrap when it cuts a syllable, may pick other separators
+    # (so other labels) but the same level lengths.
+    letters = cw.letters
+    half = len(letters) // 2
+    verdict = is_primitive(cw)
+    assert is_primitive(cw.to_word()) == verdict, str(cw)
+    rotated = is_primitive(Word.from_letters(letters[half:] + letters[:half]))
+    assert level_lengths(rotated) == level_lengths(verdict), str(cw)
+
+
+class TestLevelZeroPaths:
+    def test_every_class_of_length_12(self):
+        for letters in canonical_classes(12):
+            assert_paths_agree(CyclicWord.from_canonical(letters))
+
+    @pytest.mark.parametrize("seed, root", ORBIT_SEEDS)
+    def test_signed_orbit_words(self, seed, root):
+        for w, _ in orbit(seed, root):
+            for flip in SIGN_FLIPS:
+                assert_paths_agree(CyclicWord(tuple(flip[c] for c in w.letters)))
 
 
 def _shell_inputs():

@@ -8,6 +8,7 @@ from goeritz.shell_bridge import MAX_SHELL_P
 from goeritz.verify import (
     DEFAULT_SEED,
     MAX_EXHAUSTIVE_LEN,
+    MIN_BRIDGE_P,
     CheckResult,
     _exhaustive_chunks,
     _random_letters,
@@ -17,6 +18,7 @@ from goeritz.verify import (
     check_obstruction_soundness,
     check_oz_necessity,
     check_shell_primitivity,
+    forest_windows,
     run_all,
 )
 from goeritz.words import CyclicWord
@@ -235,6 +237,10 @@ class TestRunAll:
             ({"max_p": MAX_SHELL_P + 1}, "max-p must be at most 2000, got 2001"),
             ({"exhaustive_len": MAX_EXHAUSTIVE_LEN + 1}, "max-len must be within 0..16, got 17"),
             ({"exhaustive_len": -1}, "max-len must be within 0..16, got -1"),
+            ({"max_p": MIN_BRIDGE_P - 1}, "max-p must be at least 12, .* got 11"),
+            ({"max_p": 1}, "max-p must be at least 12, .* got 1"),
+            ({"samples": -5}, "samples must be at least 0, got -5"),
+            ({"exhaustive_len": 0, "samples": 0}, "max-len 0 with 0 samples"),
         ],
     )
     def test_bounds_checked_before_any_suite(self, suites_refused, bound, message):
@@ -244,6 +250,18 @@ class TestRunAll:
     def test_bounds_themselves_reach_the_suites(self, suites_refused):
         with pytest.raises(AssertionError, match="a suite started"):
             run_all(max_p=MAX_SHELL_P, exhaustive_len=MAX_EXHAUSTIVE_LEN)
+
+    @pytest.mark.parametrize("exhaustive_len, samples", [(0, 1), (1, 0)])
+    def test_lower_bounds_themselves_reach_the_suites(
+        self, suites_refused, exhaustive_len, samples
+    ):
+        with pytest.raises(AssertionError, match="a suite started"):
+            run_all(max_p=MIN_BRIDGE_P, exhaustive_len=exhaustive_len, samples=samples)
+
+    def test_least_max_p_is_the_smallest_forest_space(self):
+        assert list(forest_windows(MIN_BRIDGE_P - 1)) == []
+        space, _ = next(forest_windows(MIN_BRIDGE_P))
+        assert (space.p, space.q) == (MIN_BRIDGE_P, 5)
 
 
 class TestCheckResult:

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from goeritz.shell_bridge import MAX_CORRIDOR_SYLLABLES
 from goeritz.words import (
+    MAX_WORD_SYLLABLES,
     AbelianPair,
     CyclicWord,
     Word,
@@ -110,6 +113,34 @@ class TestParse:
     def test_bare_caret_rejected(self):
         with pytest.raises(WordParseError):
             parse_word("x^")
+
+    def test_budget_reads_every_export(self):
+        assert MAX_WORD_SYLLABLES >= MAX_CORRIDOR_SYLLABLES
+
+    def test_expansion_past_budget_fails_fast(self):
+        # 14 characters that would expand to 2,000,002 syllables.
+        tracemalloc.start()
+        try:
+            with pytest.raises(WordParseError, match="expands past") as info:
+                parse_word("(xy^2)^1000000xy")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.value.position == 0
+        assert peak < 1 << 20
+
+    def test_nested_expansion_past_budget(self):
+        with pytest.raises(WordParseError, match="expands past") as info:
+            parse_word("x((xy^2)^1000)^1000")
+        assert info.value.position == 1
+
+    def test_budget_counts_every_group_and_letter(self, monkeypatch):
+        monkeypatch.setattr("goeritz.words.MAX_WORD_SYLLABLES", 10)
+        assert len(parse_word("(xy)^5").syllables) == 10
+        assert len(parse_word("(xy)^-5").syllables) == 10
+        for text in ("(xy)^6", "x(xy)^5", "(xy)^3(xy)^3", "((xy)^3)^2", "xyxyxyxyxyx"):
+            with pytest.raises(WordParseError):
+                parse_word(text)
 
     @given(words())
     def test_format_parse_roundtrip(self, w: Word):
