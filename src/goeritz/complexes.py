@@ -16,9 +16,9 @@ from .lens import LensSpace, invariants
 from .primitivity import is_primitive
 from .shell_bridge import (
     E_WORD,
-    MAX_CORRIDOR_SYLLABLES,
     Bridge,
     Shell,
+    _check_syllables,
     _division,
     _walk,
     bridge_report,
@@ -115,7 +115,9 @@ def build_principal_complex(p: int, qbar: int, depth: int) -> SimplicialComplex2
     The base pair is (m, r) = divmod(p, qbar); a bad pair raises
     ValueError and a pair without a division window NotForestError.  The
     tree is the union of the walks along the 2^depth tree words w of that
-    length, each without its last vertex E_w.
+    length, each without its last vertex E_w.  A tree whose words hold
+    more than MAX_CORRIDOR_SYLLABLES syllables in all raises ValueError
+    before any word is built.
     """
     m, r = _division(p, qbar)
     if not 0 <= depth <= MAX_PRINCIPAL_DEPTH:
@@ -125,6 +127,7 @@ def build_principal_complex(p: int, qbar: int, depth: int) -> SimplicialComplex2
         for w in product("LR", repeat=depth)
         for v in _walk(qbar, m, r, "".join(w))[:-1]
     }
+    _check_syllables(tree.values(), f"principal tree of ({p}, {qbar}) at depth {depth}: words hold")
     vertices = [Vertex("E", E_WORD)] + [
         Vertex(v.label, vertex_word(qbar, v.m_exp, v.n_exp), None, v.m_exp, v.n_exp)
         for v in tree.values()
@@ -153,14 +156,8 @@ def build_bridge_corridor(bridge: Bridge) -> SimplicialComplex2:
         "E_{m+1}": f"E_{m + 1}",
         "E_" + bridge.w: "D",
     }
-    # The words hold sum(2 m_exp + 2) syllables, the cost of building,
-    # deciding and exporting them.
-    syllables = sum(2 * v.m_exp + 2 for v in bridge.walk)
-    if syllables > MAX_CORRIDOR_SYLLABLES:
-        raise ValueError(
-            f"{bridge.lens!r}: bridge corridor words hold {syllables} syllables,"
-            f" more than {MAX_CORRIDOR_SYLLABLES}"
-        )
+    # The words' syllables are the cost of building, deciding and exporting them.
+    _check_syllables(bridge.walk, f"{bridge.lens!r}: bridge corridor words hold")
     vertices = [Vertex("E", E_WORD, True)]
     for v in bridge.walk:
         word = vertex_word(qbar, v.m_exp, v.n_exp)

@@ -180,8 +180,10 @@ def _decide_class(letters: bytes) -> PrimitivityVerdict:
 
 
 def is_primitive(w: CyclicWord | Word | str) -> PrimitivityVerdict:
-    """Decide whether the class of w is primitive and whether it is a
-    primitive power u^k (u primitive, k >= 1).
+    """Decide whether w is primitive and whether it is a primitive power
+    u^k (u primitive, k >= 1).  Both answers depend only on w's cyclic
+    class, but the trace does so only for a CyclicWord: a Word's trace
+    follows the rotation it spells.
 
     One descent answers both.  Each level adds (label, letters) to the
     reduction trace: the label "x->A, y->B" is the substitution that maps

@@ -155,6 +155,16 @@ def vertex_word(qbar: int, m_exp: int, n_exp: int) -> Word:
     return Word.from_reduced((("x", 1), ("y", qbar)) * m_exp + last)
 
 
+def _check_syllables(vertices, what: str) -> None:
+    """Raise ValueError, before any of their words is built, if the words
+    of the vertices hold more than MAX_CORRIDOR_SYLLABLES syllables in
+    all, counted as 2 m_exp + 2 per vertex word.  The message is what,
+    then that count and the bound."""
+    syllables = sum(2 * v.m_exp + 2 for v in vertices)
+    if syllables > MAX_CORRIDOR_SYLLABLES:
+        raise ValueError(f"{what} {syllables} syllables, more than {MAX_CORRIDOR_SYLLABLES}")
+
+
 def _division(p: int, qbar: int) -> tuple[int, int]:
     """(m, r) = divmod(p, qbar), the principal tree's base pair; check_pair's
     ValueError for a bad pair, NotForestError if r is outside the window."""
@@ -266,11 +276,7 @@ def find_bridge(space: LensSpace, qbar: int) -> Bridge:
     w = "".join(letter * k for letter, k in runs)
     walk = tuple(_walk(qbar, m, r, w))
     d = walk[-1]
-    if 2 * d.m_exp + 2 > MAX_CORRIDOR_SYLLABLES:
-        raise ValueError(
-            f"{space!r}: bridge D-word at qbar = {qbar} has {2 * d.m_exp + 2} syllables,"
-            f" more than {MAX_CORRIDOR_SYLLABLES}"
-        )
+    _check_syllables([d], f"{space!r}: bridge D-word at qbar = {qbar} has")
     return Bridge(
         lens=space, qbar=qbar, w=w, d_word=vertex_word(qbar, d.m_exp, d.n_exp), walk=walk
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 import random
 import time
+from contextlib import closing
 from dataclasses import dataclass
 from math import gcd
 
@@ -43,6 +44,11 @@ MAX_EXHAUSTIVE_LEN = 16
 # is L(12, 5).
 MIN_BRIDGE_P = 12
 
+# Largest p whose shells run_all's shell-primitivity suite decides,
+# whatever its max_p: the suite decides every coprime shell, and one
+# p = 2000 shell takes about 15 ms (2 vCPU, CPython 3.11.7).
+MAX_SWEEP_SHELL_P = 50
+
 
 @dataclass
 class CheckResult:
@@ -67,19 +73,46 @@ class CheckResult:
         return out
 
 
-def _suite(name: str, detail: str, cases) -> CheckResult:
-    """Count and time the cases, each None when it passes or else a
-    counterexample dict, stopping at the first counterexample.  A suite
-    with no cases fails, since it has shown nothing."""
-    start = time.perf_counter()
+def _count(cases) -> tuple[int, dict | None]:
+    """Number of cases up to the first counterexample, and that
+    counterexample; each case is None when it passes."""
     checked = 0
-    bad = None
     for bad in cases:
         checked += 1
         if bad is not None:
-            break
+            return checked, bad
+    return checked, None
+
+
+def _suite(name: str, detail: str, chunks, worker=_count, workers: int = 1) -> CheckResult:
+    """Time worker over the chunks and total what it returns for each: the
+    number of cases checked and the first counterexample dict, or None.
+    Stops at the first counterexample.  A suite with no cases fails, since
+    it has shown nothing."""
+    start = time.perf_counter()
+    checked = 0
+    bad = None
+    with closing(_run_chunks(worker, chunks, workers)) as results:
+        for count, bad in results:
+            checked += count
+            if bad is not None:
+                break
     elapsed = time.perf_counter() - start
     return CheckResult(name, checked > 0 and bad is None, checked, elapsed, detail, bad)
+
+
+def _run_chunks(worker, chunks, workers: int):
+    """worker(chunk) for each chunk, in order, computed as they are asked
+    for.  With workers > 1 a process pool computes them; closing the
+    generator cancels every chunk it has not started."""
+    if workers == 1:
+        yield from map(worker, chunks)
+        return
+    # Imported here: it loads multiprocessing, which no other path needs.
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(worker, chunks)
 
 
 def canonical_classes(n: int, prefix: tuple[int, ...] = ()):
@@ -131,39 +164,10 @@ def _necklaces(a: list[int], t: int, p: int):
 
 
 def _exhaustive_chunks(max_len: int) -> list[tuple[int, tuple[int, ...]]]:
-    chunks: list[tuple[int, tuple[int, ...]]] = []
-    for n in range(1, max_len + 1):
-        if n < 10:
-            chunks.append((n, ()))
-            continue
-        for c0 in range(4):
-            for c1 in range(c0, 4):
-                if c1 != c0 ^ 1:
-                    chunks.append((n, (c0, c1)))
-    return chunks
-
-
-def _soundness_sweep(classes) -> tuple[int, dict | None]:
-    """Number of classes checked, and the first one certified
-    non-primitive that the oracle calls a primitive power."""
-    checked = 0
-    for cw in classes:
-        checked += 1
-        obstruction = certify_nonprimitive(cw)
-        if obstruction is not None and is_primitive_power(cw).is_primitive_power:
-            return checked, {
-                "word": str(cw),
-                "rule": obstruction.rule.value,
-                "witness": [list(part) for part in obstruction.witness],
-                "oracle": "primitive power",
-            }
-    return checked, None
-
-
-def _soundness_exhaustive_chunk(args: tuple[int, tuple[int, ...]]):
-    n, prefix = args
-    classes = canonical_classes(n, prefix)
-    return _soundness_sweep(CyclicWord.from_canonical(letters) for letters in classes)
+    """Chunks (n, prefix) that split every length n <= max_len: one whole
+    chunk below 10, and one per two-letter prefix from 10 on."""
+    pairs = [(c0, c1) for c0 in range(4) for c1 in range(c0, 4) if c1 != c0 ^ 1]
+    return [(n, prefix) for n in range(1, max_len + 1) for prefix in ([()] if n < 10 else pairs)]
 
 
 def _random_letters(rng: random.Random, max_len: int) -> tuple[int, ...]:
@@ -180,23 +184,31 @@ def _random_letters(rng: random.Random, max_len: int) -> tuple[int, ...]:
     return tuple(letters)
 
 
-def _soundness_random_chunk(args: tuple[int, int, int]):
-    seed, count, max_len = args
-    rng = random.Random(seed)
-    return _soundness_sweep(CyclicWord(_random_letters(rng, max_len)) for _ in range(count))
+def _soundness_case(cw: CyclicWord) -> dict | None:
+    """A class certified non-primitive that the oracle calls a primitive
+    power, or None."""
+    obstruction = certify_nonprimitive(cw)
+    if obstruction is None or not is_primitive_power(cw).is_primitive_power:
+        return None
+    return {
+        "word": str(cw),
+        "rule": obstruction.rule.value,
+        "witness": [list(part) for part in obstruction.witness],
+        "oracle": "primitive power",
+    }
 
 
-def _run_chunks(worker, chunks, workers: int):
-    if workers > 1:
-        # Imported here: it loads multiprocessing, which no other path needs.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(worker, chunks))
+def _soundness_chunk(chunk: tuple) -> tuple[int, dict | None]:
+    """Sweep the classes canonical_classes(n, prefix) of a chunk (n, prefix),
+    or, of a chunk (seed, count, max_len), count random classes of at most
+    max_len letters drawn from Random(seed)."""
+    if len(chunk) == 2:
+        classes = map(CyclicWord.from_canonical, canonical_classes(*chunk))
     else:
-        results = [worker(chunk) for chunk in chunks]
-    checked = sum(count for count, _ in results)
-    return checked, next((bad for _, bad in results if bad is not None), None)
+        seed, count, max_len = chunk
+        rng = random.Random(seed)
+        classes = (CyclicWord(_random_letters(rng, max_len)) for _ in range(count))
+    return _count(map(_soundness_case, classes))
 
 
 def check_obstruction_soundness(
@@ -206,27 +218,14 @@ def check_obstruction_soundness(
     seed: int = DEFAULT_SEED,
     workers: int = 1,
 ) -> CheckResult:
-    """Certificates of non-primitivity never contradict the oracle."""
-    start = time.perf_counter()
-    checked, bad = _run_chunks(
-        _soundness_exhaustive_chunk, _exhaustive_chunks(exhaustive_len), workers
-    )
-    if bad is None and samples > 0:
-        batch = 5000
-        chunks = [
-            (seed + i, min(batch, samples - i * batch), random_len)
-            for i in range((samples + batch - 1) // batch)
-        ]
-        more, bad = _run_chunks(_soundness_random_chunk, chunks, workers)
-        checked += more
-    return CheckResult(
-        name="obstruction-soundness",
-        passed=checked > 0 and bad is None,
-        checked=checked,
-        elapsed=time.perf_counter() - start,
-        detail=f"exhaustive length <= {exhaustive_len} plus {samples} samples <= {random_len}",
-        counterexample=bad,
-    )
+    """Certificates of non-primitivity never contradict the oracle, over
+    every class of length <= exhaustive_len and then samples random ones."""
+    batch = 5000
+    chunks = _exhaustive_chunks(exhaustive_len) + [
+        (seed + i // batch, min(batch, samples - i), random_len) for i in range(0, samples, batch)
+    ]
+    detail = f"exhaustive length <= {exhaustive_len} plus {samples} samples <= {random_len}"
+    return _suite("obstruction-soundness", detail, chunks, _soundness_chunk, workers)
 
 
 def _coprime_pairs(max_p: int):
@@ -237,7 +236,7 @@ def _coprime_pairs(max_p: int):
                 yield p, q
 
 
-def check_shell_primitivity(max_p: int = 50) -> CheckResult:
+def check_shell_primitivity(max_p: int = MAX_SWEEP_SHELL_P) -> CheckResult:
     """Oracle-primitive shell indices match {1, q', p - q', p - 1}.  The
     indices are read from residue marks, so no word or text is built."""
 
@@ -253,7 +252,7 @@ def check_shell_primitivity(max_p: int = 50) -> CheckResult:
                 "actual": sorted(actual),
             }
 
-    return _suite("shell-primitivity", f"all coprime shells with p <= {max_p}", cases())
+    return _suite("shell-primitivity", f"all coprime shells with p <= {max_p}", [cases()])
 
 
 def check_oz_necessity(max_len: int = MAX_ENUMERATION_LENGTH) -> CheckResult:
@@ -263,7 +262,7 @@ def check_oz_necessity(max_len: int = MAX_ENUMERATION_LENGTH) -> CheckResult:
         for cw in sorted(enumerate_primitives(max_len), key=lambda c: (c.length, c.letters)):
             yield None if oz_form_check(cw) else {"word": str(cw)}
 
-    return _suite("oz-necessity", f"primitive classes of length <= {max_len}", cases())
+    return _suite("oz-necessity", f"primitive classes of length <= {max_len}", [cases()])
 
 
 def forest_windows(max_p: int):
@@ -282,11 +281,8 @@ def forest_windows(max_p: int):
 def check_bridges(max_p: int = 60) -> CheckResult:
     """Bridges exist and are minimal corridors: the end word is primitive
     and no interior word is."""
-    return _suite(
-        "bridge-validity",
-        f"forest spaces with p <= {max_p}, both window types",
-        (_examine_bridge(space, qbar) for space, qbar in forest_windows(max_p)),
-    )
+    cases = (_examine_bridge(space, qbar) for space, qbar in forest_windows(max_p))
+    return _suite("bridge-validity", f"forest spaces with p <= {max_p}, both window types", [cases])
 
 
 def _examine_bridge(space, qbar):
@@ -331,7 +327,8 @@ def check_classification(max_p: int = 200) -> CheckResult:
                 "forest": forest,
             }
 
-    return _suite("classification-equivalence", f"all coprime (p,q) with p <= {max_p}", cases())
+    detail = f"all coprime (p,q) with p <= {max_p}"
+    return _suite("classification-equivalence", detail, [cases()])
 
 
 def run_all(
@@ -343,8 +340,9 @@ def run_all(
 ) -> list[CheckResult]:
     """Run every suite; order is fixed so reports are comparable.
 
-    Random words run to min(20, exhaustive_len + 6) letters, primitive
-    classes to MAX_ENUMERATION_LENGTH, classification to max(200, max_p).
+    Shells run to p <= min(max_p, MAX_SWEEP_SHELL_P), random words to
+    min(20, exhaustive_len + 6) letters, primitive classes to
+    MAX_ENUMERATION_LENGTH, classification to max(200, max_p).
 
     Every bound is checked before any suite runs: workers within
     1..os.cpu_count(), as a process pool forks all its workers at the
@@ -370,7 +368,7 @@ def run_all(
     if not exhaustive_len and not samples:
         raise ValueError("max-len 0 with 0 samples leaves obstruction-soundness no word")
     return [
-        check_shell_primitivity(max_p=min(max_p, 50)),
+        check_shell_primitivity(max_p=min(max_p, MAX_SWEEP_SHELL_P)),
         check_obstruction_soundness(
             exhaustive_len=exhaustive_len,
             samples=samples,

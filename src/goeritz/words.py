@@ -19,12 +19,11 @@ GENERATORS = ("x", "y")
 # Letter codes.  The order is the one used for canonical rotations.
 X, X_INV, Y, Y_INV = 0, 1, 2, 3
 
-_LETTER_TEXT = ("x", "x^-1", "y", "y^-1")
 _GEN_INDEX = {"x": 0, "y": 1}
 
-# Most syllables parse_word builds, counted as it expands each group,
-# before the merges of free reduction.  The longest word the package
-# writes, a corridor's D-word, holds at most
+# Most syllables parse_word builds, counted term by term before the merges
+# between terms; a group's power counts as reduced.  The longest word the
+# package writes, a corridor's D-word, holds at most
 # shell_bridge.MAX_CORRIDOR_SYLLABLES = 500,002, so every exported
 # complex reads back.
 MAX_WORD_SYLLABLES = 1_000_000
@@ -114,9 +113,17 @@ class Word:
         return Word(self.syllables + other.syllables)
 
     def __pow__(self, n: int) -> "Word":
-        if n < 0:
-            return self.inverse() ** (-n)
-        return Word(self.syllables * n)
+        """self^n by repeated squaring, so that no partial product is
+        longer than the result."""
+        base, result = self if n >= 0 else self.inverse(), Word()
+        n = abs(n)
+        while n:
+            if n & 1:
+                result *= base
+            n >>= 1
+            if n:
+                base *= base
+        return result
 
     def inverse(self) -> "Word":
         return Word(tuple((g, -e) for g, e in reversed(self.syllables)))
@@ -171,7 +178,8 @@ def parse_word(text: str) -> Word:
     Grammar: word := term+ ; term := letter ['^' int] | '(' word ')' '^' int ;
     letter in {x, y}; whitespace is ignored; "" parses to the identity.
     Text that expands to more than MAX_WORD_SYLLABLES syllables raises
-    WordParseError before the group that passes the budget is expanded.
+    WordParseError before the group that passes the budget is expanded;
+    a group's power counts as reduced, so (x)^2000000 is one syllable.
     """
     pairs, pos = _parse_terms(text, 0, depth=0)
     if pos != len(text):
@@ -179,6 +187,16 @@ def parse_word(text: str) -> Word:
     if len(pairs) > MAX_WORD_SYLLABLES:
         raise WordParseError(f"word holds more than {MAX_WORD_SYLLABLES} syllables", 0)
     return Word(tuple(pairs))
+
+
+def _power_syllables(g: Word, e: int) -> int:
+    """Syllables of g^e, read off g and g^2.  Reduced, g is c h c^-1 with
+    h cyclically reduced, so g^e is c h^e c^-1 and each copy of h past the
+    first adds the same syllables, s(g^2) - s(g)."""
+    if not e:
+        return 0
+    s1 = len(g.syllables)
+    return s1 + (abs(e) - 1) * (len((g * g).syllables) - s1)
 
 
 def _skip_ws(text: str, pos: int) -> int:
@@ -227,7 +245,7 @@ def _parse_terms(text: str, pos: int, depth: int) -> tuple[list[tuple[str, int]]
                 raise WordParseError("parenthesized group requires an exponent", pos)
             exp, pos = _parse_int(text, pos + 1)
             group = Word(tuple(inner))
-            if len(pairs) + len(group.syllables) * abs(exp) > MAX_WORD_SYLLABLES:
+            if len(pairs) + _power_syllables(group, exp) > MAX_WORD_SYLLABLES:
                 raise WordParseError(f"word expands past {MAX_WORD_SYLLABLES} syllables", start)
             pairs.extend((group**exp).syllables)
             saw_term = True

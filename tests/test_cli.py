@@ -227,6 +227,13 @@ class TestComplexCommand:
         assert code == 1
         assert "window" in err
 
+    def test_principal_syllable_bound_exits_two(self, capsys):
+        # E_m alone would hold 4,000,000 syllables, past what import_json reads.
+        code, out, err = run(capsys, "complex", "principal", "10000003", "5", "--depth", "0")
+        assert code == 2
+        assert out == ""
+        assert "8000002 syllables, more than 500002" in err
+
     @pytest.mark.parametrize("p,qbar", [("12", "0"), ("5", "7"), ("12", "4")])
     def test_principal_invalid_pair_exits_two(self, capsys, p, qbar):
         code, out, err = run(capsys, "complex", "principal", p, qbar)

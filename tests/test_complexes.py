@@ -8,7 +8,6 @@ from math import gcd
 import pytest
 
 from goeritz.complexes import (
-    MAX_CORRIDOR_SYLLABLES,
     SimplicialComplex2,
     Vertex,
     build_bridge_corridor,
@@ -21,7 +20,7 @@ from goeritz.complexes import (
     validate,
 )
 from goeritz.lens import LensSpace, division_window
-from goeritz.shell_bridge import NotForestError, find_bridge, shell_words
+from goeritz.shell_bridge import MAX_CORRIDOR_SYLLABLES, NotForestError, find_bridge, shell_words
 from goeritz.verify import forest_windows
 from goeritz.words import Word, parse_word
 
@@ -191,6 +190,21 @@ class TestPrincipalComplex:
     def test_rejects_bad_pairs(self, p, qbar, error):
         with pytest.raises(error):
             build_principal_complex(p, qbar, depth=1)
+
+    @pytest.mark.parametrize(
+        "p, qbar, depth, syllables", [(10_000_003, 5, 0, 8_000_002), (23, 7, 12, 3_720_094)]
+    )
+    def test_syllable_bound(self, monkeypatch, p, qbar, depth, syllables):
+        # Counted as 2 m_exp + 2 per vertex word and refused before any is
+        # built.  The largest tree the tests build, (38, 5) at depth 9 in
+        # MEDIANT_CASES, holds 295,260.
+        def refuse(*args):
+            raise AssertionError("a vertex word was built")
+
+        monkeypatch.setattr("goeritz.complexes.vertex_word", refuse)
+        message = f"{syllables} syllables, more than {MAX_CORRIDOR_SYLLABLES}"
+        with pytest.raises(ValueError, match=message):
+            build_principal_complex(p, qbar, depth)
 
 
 class TestBridgeCorridor:

@@ -4,10 +4,12 @@ import hashlib
 
 import pytest
 
+from goeritz.primitivity import PrimitivityVerdict
 from goeritz.shell_bridge import MAX_SHELL_P
 from goeritz.verify import (
     DEFAULT_SEED,
     MAX_EXHAUSTIVE_LEN,
+    MAX_SWEEP_SHELL_P,
     MIN_BRIDGE_P,
     CheckResult,
     _exhaustive_chunks,
@@ -146,6 +148,30 @@ class TestChecks:
         assert serial.passed and parallel.passed
         assert serial.checked == parallel.checked
 
+    def test_soundness_stops_at_its_first_counterexample(self, monkeypatch):
+        # An oracle that calls every class a primitive power contradicts the
+        # first certified class, x^2y^2 in the length-4 chunk.  Forked pool
+        # workers inherit the patch.
+        monkeypatch.setattr(
+            "goeritz.verify.is_primitive_power", lambda cw: PrimitivityVerdict(False, True, ())
+        )
+        results = [
+            check_obstruction_soundness(
+                exhaustive_len=10, samples=2000, random_len=12, workers=workers
+            )
+            for workers in (1, 2)
+        ]
+        for result in results:
+            assert not result.passed
+            assert result.counterexample == {
+                "word": "x^2y^2",
+                "rule": "PP2b",
+                "witness": [[0, 1], [2, 3]],
+                "oracle": "primitive power",
+            }
+        # The classes of length 1 to 3, then the length-4 ones through x^2y^2.
+        assert [result.checked for result in results] == [28, 28]
+
     def test_oz_necessity_small(self):
         result = check_oz_necessity(max_len=10)
         assert result.passed
@@ -203,6 +229,12 @@ class TestRunAll:
         # oz-necessity reaches the enumeration's bound whatever max-len is.
         oz = results[2]
         assert (oz.checked, oz.detail) == (512, "primitive classes of length <= 20")
+
+    def test_shell_sweep_stops_at_its_cap(self):
+        shells = run_all(max_p=60, exhaustive_len=4, samples=50)[0]
+        assert shells.name == "shell-primitivity" and shells.passed
+        assert (shells.checked, shells.detail) == (387, "all coprime shells with p <= 50")
+        assert MAX_SWEEP_SHELL_P == 50
 
     def test_injected_failure_is_reported(self, monkeypatch):
         monkeypatch.setattr("goeritz.verify.oz_form_check", lambda cw: False)

@@ -16,6 +16,7 @@ from goeritz.words import (
     Word,
     WordParseError,
     _least_rotation,
+    _power_syllables,
     cyclic_reduce,
     format_word,
     parse_word,
@@ -65,6 +66,10 @@ class TestReduction:
         for _ in range(abs(n)):
             product = product * base
         assert w**n == product
+
+    @given(words(), st.integers(min_value=-8, max_value=8))
+    def test_power_syllables_read_off_the_square(self, w: Word, n: int):
+        assert _power_syllables(w, n) == len((w**n).syllables)
 
     @given(words())
     def test_letters_roundtrip(self, w: Word):
@@ -141,6 +146,31 @@ class TestParse:
         for text in ("(xy)^6", "x(xy)^5", "(xy)^3(xy)^3", "((xy)^3)^2", "xyxyxyxyxyx"):
             with pytest.raises(WordParseError):
                 parse_word(text)
+
+    def test_budget_counts_the_reduced_power(self):
+        # Each reduces to a few syllables, though its group repeats
+        # 2,000,000 times; repeated squaring never builds the copies.
+        tracemalloc.start()
+        try:
+            assert parse_word("(x)^2000000") == Word((("x", 2_000_000),))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert str(parse_word("(xyx^-1)^2000000")) == "xy^2000000x^-1"
+        assert str(parse_word("(x^-1)^-3(yxy^-1)^-2")) == "x^3yx^-2y^-1"
+
+    def test_reduced_power_past_budget_fails_fast(self):
+        # Reduced, the group's power holds 3 + 599,999 * 2 = 1,200,001 syllables.
+        tracemalloc.start()
+        try:
+            with pytest.raises(WordParseError, match="expands past") as info:
+                parse_word("(x^2yx^-1)^600000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.value.position == 0
+        assert peak < 1 << 20
 
     @given(words())
     def test_format_parse_roundtrip(self, w: Word):
